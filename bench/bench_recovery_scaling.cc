@@ -1,6 +1,7 @@
 // Recovery-latency scaling: wall-clock time of each parallel recovery
-// phase (journal replay, shadow op-sequence replay, fsck) and of the
-// whole replay->fsck pipeline at 1/2/4/8 worker threads. Unlike the
+// phase (journal replay, fsck, download) and of the whole replay->fsck
+// pipeline at 1/2/4/8 worker threads. The pipeline's shadow op-sequence
+// replay is sequential (shadow_execute) at every worker count. Unlike the
 // simulated-time experiments, these benchmarks measure REAL time: the
 // point of the worker pools is to cut wall-clock downtime on a real
 // host, so host parallelism is exactly what is under test.
@@ -29,8 +30,6 @@
 #include "fsck/fsck.h"
 #include "journal/journal.h"
 #include "common/worker_pool.h"
-#include "oplog/dep_graph.h"
-#include "shadowfs/shadow_parallel.h"
 #include "shadowfs/shadow_replay.h"
 #include "tests/support/fixtures.h"
 
@@ -166,32 +165,6 @@ double since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-void BM_ShadowReplay(benchmark::State& state) {
-  const auto& s = scenario();
-  TimedBlockDevice timed(s.device.get(), RealLatency{});
-  auto workers = static_cast<uint32_t>(state.range(0));
-  ShadowConfig config;
-  config.replay_workers = workers;
-  uint64_t replayed = 0;
-  for (auto _ : state) {
-    auto outcome = shadow_execute_parallel(&timed, s.log, config);
-    if (!outcome.ok) state.SkipWithError(outcome.failure.c_str());
-    replayed = outcome.ops_replayed;
-    benchmark::DoNotOptimize(outcome.dirty);
-  }
-  state.counters["ops_replayed"] = static_cast<double>(replayed);
-  state.counters["components"] = static_cast<double>(
-      build_op_dependency_graph(s.log).components.size());
-}
-BENCHMARK(BM_ShadowReplay)
-    ->ArgName("workers")
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
 void BM_JournalReplay(benchmark::State& state) {
   const auto& master = dirty_journal_image();
   Geometry geo = bench_geometry();
@@ -264,14 +237,12 @@ BENCHMARK(BM_FsckStrict)
 
 void BM_RecoveryPipeline(benchmark::State& state) {
   // The recovery tail end to end on a large dirty image: journal replay
-  // -> shadow replay of the op log -> install -> strict fsck, every
-  // phase at the same worker count. This is the ISSUE's >=2x-at-8 bar.
+  // -> sequential shadow replay of the op log -> install -> strict fsck,
+  // every parallel phase at the same worker count.
   const auto& s = scenario();
   const auto& master = dirty_journal_image();
   Geometry geo = bench_geometry();
   auto workers = static_cast<uint32_t>(state.range(0));
-  ShadowConfig config;
-  config.replay_workers = workers;
   FsckOptions fopts;
   fopts.workers = workers;
   for (auto _ : state) {
@@ -281,7 +252,7 @@ void BM_RecoveryPipeline(benchmark::State& state) {
     if (!Journal::replay(&timed, geo, workers).ok()) {
       state.SkipWithError("journal replay failed");
     }
-    auto outcome = shadow_execute_parallel(&timed, s.log, config);
+    auto outcome = shadow_execute(&timed, s.log, {});
     if (!outcome.ok) state.SkipWithError(outcome.failure.c_str());
     // Offline install of the shadow's output: each target block appears
     // exactly once in seal() output, so the writes are order-independent
@@ -353,7 +324,7 @@ void BM_Download(benchmark::State& state) {
   // The download phase alone: BaseFs::install_blocks installs the
   // shadow's output through the journaled bulk path (one multi-chunk
   // install transaction + parallel in-place apply + checkpoint) at the
-  // given worker count. This is the ISSUE's >=2x-at-8 download bar.
+  // given worker count.
   const auto& s = download_scenario();
   auto workers = static_cast<uint32_t>(state.range(0));
   for (auto _ : state) {
@@ -388,8 +359,8 @@ BENCHMARK(BM_Download)
 void BM_RecoveryPipelineAutotuned(benchmark::State& state) {
   // The full pipeline with every worker knob on `0 = auto`, the way the
   // supervisor resolves them: one queue-depth probe of the device, then
-  // every phase at the probed count. The probe runs INSIDE the timed
-  // region -- it is part of the autotuned recovery's real cost.
+  // every parallel phase at the probed count. The probe runs INSIDE the
+  // timed region -- it is part of the autotuned recovery's real cost.
   const auto& s = scenario();
   const auto& master = dirty_journal_image();
   Geometry geo = bench_geometry();
@@ -404,9 +375,7 @@ void BM_RecoveryPipelineAutotuned(benchmark::State& state) {
     if (!Journal::replay(&timed, geo, workers).ok()) {
       state.SkipWithError("journal replay failed");
     }
-    ShadowConfig config;
-    config.replay_workers = workers;
-    auto outcome = shadow_execute_parallel(&timed, s.log, config);
+    auto outcome = shadow_execute(&timed, s.log, {});
     if (!outcome.ok) state.SkipWithError(outcome.failure.c_str());
     {
       const auto& dirty = outcome.dirty;

@@ -37,7 +37,6 @@ std::string incident_to_json(const Incident& inc) {
      << "  \"download\": {\"retries\": " << inc.download_retries << "},\n"
      << "  \"workers\": {\"autotuned_qdepth\": " << inc.autotuned_qdepth
      << ", \"journal_replay\": " << inc.journal_replay_workers
-     << ", \"shadow_replay\": " << inc.shadow_replay_workers
      << ", \"install\": " << inc.install_workers
      << ", \"fsck\": " << inc.fsck_workers << "},\n"
      << "  \"flight_tail\": [";

@@ -64,7 +64,6 @@ struct Incident {
   // 0 when every knob was explicit and no probe ran).
   uint32_t autotuned_qdepth = 0;
   uint32_t journal_replay_workers = 0;
-  uint32_t shadow_replay_workers = 0;
   uint32_t install_workers = 0;
   uint32_t fsck_workers = 0;
 

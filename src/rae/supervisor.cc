@@ -280,21 +280,18 @@ Result<ShadowOutcome> RaeSupervisor::recover(const FaultSite& site,
   // device's probed effective queue depth (cached per device, so only the
   // first auto recovery pays the probe). The chosen counts go into the
   // incident report so a forensic reader can see what the autotuner did.
-  const bool any_auto =
-      opts_.journal_replay_workers == 0 || opts_.fsck_workers == 0 ||
-      opts_.shadow.replay_workers == 0 || opts_.base.install_workers == 0;
+  const bool any_auto = opts_.journal_replay_workers == 0 ||
+                        opts_.fsck_workers == 0 ||
+                        opts_.base.install_workers == 0;
   if (any_auto) {
     stats_.autotuned_qdepth = cached_queue_depth(dev_).effective_depth;
   }
   const uint32_t replay_workers =
       resolve_workers(opts_.journal_replay_workers, dev_);
   const uint32_t fsck_workers = resolve_workers(opts_.fsck_workers, dev_);
-  ShadowConfig shadow_cfg = opts_.shadow;
-  shadow_cfg.replay_workers = resolve_workers(shadow_cfg.replay_workers, dev_);
   inc.autotuned_qdepth = stats_.autotuned_qdepth;
   inc.journal_replay_workers = replay_workers;
   inc.fsck_workers = fsck_workers;
-  inc.shadow_replay_workers = shadow_cfg.replay_workers;
   inc.install_workers = resolve_workers(opts_.base.install_workers, dev_);
 
   // Reboot: pay the contained-reboot cost and reach the trusted on-disk
@@ -338,7 +335,7 @@ Result<ShadowOutcome> RaeSupervisor::recover(const FaultSite& site,
         ++stats_.shadow_retries;
         ++inc.shadow_retries;
       }
-      outcome = executor_->execute(dev_, log, shadow_cfg, clock_);
+      outcome = executor_->execute(dev_, log, opts_.shadow, clock_);
       if (outcome.ok) break;
       RAEFS_LOG_WARN("rae") << "shadow attempt " << attempt + 1
                             << " refused: " << outcome.failure;

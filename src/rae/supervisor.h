@@ -89,9 +89,8 @@ struct RaeOptions {
   /// Worker threads for post-recovery fsck (the verify phase below and
   /// any supervisor-driven checks). Parallelism only prefetches; findings
   /// are byte-identical to a serial run. 1 keeps the serial path; 0 =
-  /// auto (probed queue depth, as above). The shadow replay's worker
-  /// count is `shadow.replay_workers` (also 0 = auto); the bulk install's
-  /// is `base.install_workers`.
+  /// auto (probed queue depth, as above). The bulk install's worker count
+  /// is `base.install_workers`; the shadow replay is always sequential.
   uint32_t fsck_workers = 1;
 
   /// After the download phase, snapshot the device, replay the journal on

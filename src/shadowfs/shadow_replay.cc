@@ -104,8 +104,10 @@ OpOutcome shadow_apply_op(ShadowFs& fs, const OpRequest& req,
   return out;
 }
 
-std::string shadow_describe_mismatch(const OpRecord& rec,
-                                     const OpOutcome& replayed) {
+namespace {
+
+std::string describe_mismatch(const OpRecord& rec,
+                              const OpOutcome& replayed) {
   std::ostringstream os;
   os << "op " << rec.seq << " (" << rec.req.describe() << "): base {err="
      << to_string(rec.out.err) << " ino=" << rec.out.assigned_ino
@@ -115,7 +117,9 @@ std::string shadow_describe_mismatch(const OpRecord& rec,
   return os.str();
 }
 
-bool shadow_outcomes_agree(const OpRecord& rec, const OpOutcome& replayed) {
+/// Constrained-mode cross-check: does the shadow's re-execution outcome
+/// match what the application was shown?
+bool outcomes_agree(const OpRecord& rec, const OpOutcome& replayed) {
   if (rec.out.err != replayed.err) return false;
   if (rec.out.err != Errno::kOk) return true;  // both failed identically
   if (rec.out.assigned_ino != replayed.assigned_ino) return false;
@@ -125,6 +129,8 @@ bool shadow_outcomes_agree(const OpRecord& rec, const OpOutcome& replayed) {
   }
   return true;
 }
+
+}  // namespace
 
 ShadowOutcome shadow_execute(BlockDevice* dev,
                              const std::vector<OpRecord>& log,
@@ -159,9 +165,9 @@ ShadowOutcome shadow_execute(BlockDevice* dev,
         OpOutcome replayed =
             shadow_apply_op(fs, rec.req, rec.out.assigned_ino);
         ++outcome.ops_replayed;
-        if (!shadow_outcomes_agree(rec, replayed)) {
+        if (!outcomes_agree(rec, replayed)) {
           outcome.discrepancies.push_back(
-              Discrepancy{rec.seq, shadow_describe_mismatch(rec, replayed)});
+              Discrepancy{rec.seq, describe_mismatch(rec, replayed)});
           if (!config.continue_on_discrepancy) {
             outcome.failure = "fatal discrepancy: " +
                               outcome.discrepancies.back().description;

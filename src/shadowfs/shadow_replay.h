@@ -29,12 +29,6 @@ struct ShadowConfig {
   /// Paper: "Discrepancies in output are reported; whether or not to
   /// continue can be configured."
   bool continue_on_discrepancy = true;
-  /// Worker threads for the parallel op-sequence replay
-  /// (shadow_parallel.h); 1 selects the serial reference executor and 0
-  /// means auto (derive the count from the device's probed effective
-  /// queue depth, blockdev/qdepth_probe.h). Any value produces a
-  /// byte-identical dirty set.
-  uint32_t replay_workers = 1;
 };
 
 struct Discrepancy {
@@ -79,12 +73,5 @@ ShadowOutcome shadow_execute(BlockDevice* dev,
                              const std::vector<OpRecord>& log,
                              const ShadowConfig& config,
                              SimClockPtr clock = nullptr);
-
-/// Constrained-mode cross-check: does the shadow's re-execution outcome
-/// match what the application was shown? (Shared with the parallel
-/// replay driver.)
-bool shadow_outcomes_agree(const OpRecord& rec, const OpOutcome& replayed);
-std::string shadow_describe_mismatch(const OpRecord& rec,
-                                     const OpOutcome& replayed);
 
 }  // namespace raefs

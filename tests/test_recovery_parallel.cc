@@ -1,9 +1,10 @@
 // Parallel recovery differential tests: every parallel phase of the
-// recovery pipeline (journal replay, shadow op-sequence replay, fsck)
-// must be byte-equivalent to its serial reference at any worker count,
-// on clean logs, on crashx-generated dirty images, and across a
-// mid-recovery power cut. The ScalingSmoke* tests double as the CI
-// recovery_scaling_smoke target (small image, 1 vs 4 workers).
+// recovery pipeline (journal replay, fsck, bulk install) must be
+// byte-equivalent to its serial reference at any worker count, on clean
+// logs, on crashx-generated dirty images, and across a mid-recovery power
+// cut. The shadow replay itself is sequential. The ScalingSmoke* test
+// doubles as the CI recovery_scaling_smoke target (small image, 1 vs 4
+// workers).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,11 +17,7 @@
 #include "format/layout.h"
 #include "fsck/fsck.h"
 #include "journal/journal.h"
-#include "obs/metrics.h"
-#include "obs/names.h"
-#include "oplog/dep_graph.h"
 #include "rae/supervisor.h"
-#include "shadowfs/shadow_parallel.h"
 #include "shadowfs/shadow_replay.h"
 #include "tests/support/fixtures.h"
 
@@ -38,13 +35,6 @@ Geometry test_geometry() {
 
 std::vector<uint8_t> image_of(const MemBlockDevice& dev) {
   return dev.persisted_image();
-}
-
-void install(BlockDevice* dev, const std::vector<InstallBlock>& dirty) {
-  for (const auto& ib : dirty) {
-    ASSERT_TRUE(dev->write_block(ib.block, ib.data).ok());
-  }
-  ASSERT_TRUE(dev->flush().ok());
 }
 
 /// A dirty image the way crashx makes them: run a deterministic workload,
@@ -229,7 +219,8 @@ TEST(JournalParallel, PowerCutMidReplayIsIdempotent) {
 }
 
 // ---------------------------------------------------------------------
-// Shadow replay: parallel dirty set must equal the serial dirty set.
+// Recorded scenario: the shadow's dirty set for it feeds the bulk-install
+// tests below.
 // ---------------------------------------------------------------------
 
 /// Base image with preexisting directories plus an op log recorded
@@ -328,131 +319,6 @@ RecordedScenario record_scenario() {
   return s;
 }
 
-void expect_same_outcome(const ShadowOutcome& a, const ShadowOutcome& b) {
-  ASSERT_EQ(a.ok, b.ok) << a.failure << " vs " << b.failure;
-  EXPECT_EQ(a.ops_replayed, b.ops_replayed);
-  EXPECT_EQ(a.ops_skipped_errored, b.ops_skipped_errored);
-  EXPECT_EQ(a.ops_skipped_sync, b.ops_skipped_sync);
-  EXPECT_EQ(a.inflight_retry_syncs, b.inflight_retry_syncs);
-  EXPECT_EQ(a.discrepancies.size(), b.discrepancies.size());
-  ASSERT_EQ(a.inflight_results.size(), b.inflight_results.size());
-  for (size_t i = 0; i < a.inflight_results.size(); ++i) {
-    EXPECT_EQ(a.inflight_results[i].first, b.inflight_results[i].first);
-    EXPECT_EQ(a.inflight_results[i].second.err,
-              b.inflight_results[i].second.err);
-    EXPECT_EQ(a.inflight_results[i].second.assigned_ino,
-              b.inflight_results[i].second.assigned_ino);
-  }
-  ASSERT_EQ(a.dirty.size(), b.dirty.size());
-  for (size_t i = 0; i < a.dirty.size(); ++i) {
-    EXPECT_EQ(a.dirty[i].block, b.dirty[i].block) << "entry " << i;
-    EXPECT_EQ(a.dirty[i].cls, b.dirty[i].cls) << "entry " << i;
-    EXPECT_EQ(a.dirty[i].data, b.dirty[i].data)
-        << "entry " << i << " block " << a.dirty[i].block;
-  }
-}
-
-TEST(ShadowParallel, MatchesSerialAcrossWorkerCounts) {
-  auto s = record_scenario();
-  // The scenario is genuinely parallelizable (else this test would only
-  // exercise the single-component serial delegation).
-  auto graph = build_op_dependency_graph(s.log);
-  ASSERT_GT(graph.components.size(), 1u);
-
-  auto serial = shadow_execute(s.device.get(), s.log, {});
-  ASSERT_TRUE(serial.ok) << serial.failure;
-  ASSERT_FALSE(serial.dirty.empty());
-
-  for (uint32_t workers : {2u, 4u, 8u}) {
-    ShadowConfig config;
-    config.replay_workers = workers;
-    uint64_t fallbacks_before =
-        obs::metrics().counter(obs::kMShadowParallelFallbacks).value();
-    auto par = shadow_execute_parallel(s.device.get(), s.log, config);
-    // The clean log must go down the parallel path, not the fallback.
-    EXPECT_EQ(obs::metrics().counter(obs::kMShadowParallelFallbacks).value(),
-              fallbacks_before)
-        << "workers=" << workers;
-    expect_same_outcome(serial, par);
-
-    // Byte-equivalent post-recovery image, the ISSUE's acceptance bar.
-    auto img_serial = s.device->clone_full();
-    auto img_par = s.device->clone_full();
-    install(img_serial.get(), serial.dirty);
-    install(img_par.get(), par.dirty);
-    EXPECT_EQ(image_of(*img_serial), image_of(*img_par))
-        << "workers=" << workers;
-  }
-}
-
-TEST(ShadowParallel, SingleComponentDelegatesToSerial) {
-  // mkdir-then-populate collapses to one component; the parallel entry
-  // point must produce the serial result (and not count a fallback --
-  // one component is the planner's normal answer for this shape).
-  auto t = make_test_device();
-  std::vector<OpRecord> log;
-  Seq seq = 1;
-  auto push = [&](OpKind kind, std::string path, Ino assigned) {
-    OpRecord rec;
-    rec.seq = seq++;
-    rec.req.kind = kind;
-    rec.req.path = std::move(path);
-    rec.req.mode = kind == OpKind::kMkdir ? 0755 : 0644;
-    rec.completed = true;
-    rec.out.err = Errno::kOk;
-    rec.out.assigned_ino = assigned;
-    log.push_back(std::move(rec));
-  };
-  push(OpKind::kMkdir, "/d", 2);
-  push(OpKind::kCreate, "/d/f", 3);
-  ASSERT_EQ(build_op_dependency_graph(log).components.size(), 1u);
-
-  ShadowConfig config;
-  config.replay_workers = 4;
-  auto serial = shadow_execute(t.device.get(), log, {});
-  auto par = shadow_execute_parallel(t.device.get(), log, config);
-  expect_same_outcome(serial, par);
-}
-
-TEST(ShadowParallel, InflightPrefixGoesSerialWithoutFallback) {
-  // An in-flight op wedged BEFORE completed mutating ops leaves the
-  // two-phase planner an empty parallel prefix: everything lands in the
-  // serial suffix, the driver delegates to the serial executor directly,
-  // and NO fallback is counted -- this is the plan, not a failure.
-  auto t = make_test_device();
-  std::vector<OpRecord> log;
-  OpRecord inflight;
-  inflight.seq = 1;
-  inflight.req.kind = OpKind::kCreate;
-  inflight.req.path = "/pending";
-  inflight.completed = false;
-  log.push_back(inflight);
-  OpRecord done;
-  done.seq = 2;
-  done.req.kind = OpKind::kCreate;
-  done.req.path = "/done";
-  done.completed = true;
-  done.out.err = Errno::kOk;
-  done.out.assigned_ino = 2;
-  log.push_back(done);
-
-  auto split = plan_two_phase(log);
-  EXPECT_TRUE(split.parallel_prefix.empty());
-  ASSERT_EQ(split.serial_suffix.size(), 2u);
-  EXPECT_EQ(split.serial_suffix[0], 1u);
-  EXPECT_EQ(split.serial_suffix[1], 2u);
-
-  ShadowConfig config;
-  config.replay_workers = 4;
-  uint64_t before =
-      obs::metrics().counter(obs::kMShadowParallelFallbacks).value();
-  auto serial = shadow_execute(t.device.get(), log, {});
-  auto par = shadow_execute_parallel(t.device.get(), log, config);
-  EXPECT_EQ(obs::metrics().counter(obs::kMShadowParallelFallbacks).value(),
-            before);
-  expect_same_outcome(serial, par);
-}
-
 // ---------------------------------------------------------------------
 // fsck: parallel scan must report byte-identical findings.
 // ---------------------------------------------------------------------
@@ -539,7 +405,6 @@ TEST(ParallelRecovery, SupervisorRecoversWithAllKnobsOn) {
   opts.journal_replay_workers = 4;
   opts.fsck_workers = 4;
   opts.verify_after_recovery = true;
-  opts.shadow.replay_workers = 4;
   auto started = RaeSupervisor::start(t.device.get(), opts, t.clock, &bugs);
   ASSERT_TRUE(started.ok());
   auto sup = std::move(started).value();
@@ -744,21 +609,6 @@ TEST(ParallelRecovery, ScalingSmokeJournal) {
   ASSERT_TRUE(serial_report.ok());
   ASSERT_TRUE(par_report.ok());
   expect_same_report(serial_report.value(), par_report.value());
-}
-
-TEST(ParallelRecovery, ScalingSmokeShadow) {
-  auto s = record_scenario();
-  auto serial = shadow_execute(s.device.get(), s.log, {});
-  ShadowConfig config;
-  config.replay_workers = 4;
-  auto par = shadow_execute_parallel(s.device.get(), s.log, config);
-  ASSERT_TRUE(serial.ok) << serial.failure;
-  expect_same_outcome(serial, par);
-  auto img_serial = s.device->clone_full();
-  auto img_par = s.device->clone_full();
-  install(img_serial.get(), serial.dirty);
-  install(img_par.get(), par.dirty);
-  ASSERT_EQ(image_of(*img_serial), image_of(*img_par));
 }
 
 }  // namespace

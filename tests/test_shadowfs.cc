@@ -272,15 +272,49 @@ TEST(ShadowReplay, SyncOpsSkippedAndInflightSyncFlagged) {
   EXPECT_EQ(outcome.inflight_retry_syncs[0], 3u);
 }
 
-TEST(ShadowReplay, RefusesCraftedImage) {
-  auto t = make_test_device();
-  ASSERT_TRUE(craft_image(t.device.get(), CraftKind::kBadDirentNameLen).ok());
+// Every crafted kind that strict fsck rates fatal, replayed under a log
+// whose create walks the damaged root directory.
+struct ShadowReplayCraftCase {
+  CraftKind kind;
+  bool refused;
+};
+
+class ShadowReplayCraftTest
+    : public ::testing::TestWithParam<ShadowReplayCraftCase> {};
+
+TEST_P(ShadowReplayCraftTest, RefusesCraftedImage) {
+  auto t = make_test_fs();
+  ASSERT_TRUE(t.fs->mkdir("/sub", 0755).ok());
+  ASSERT_TRUE(t.fs->create("/sub/f", 0644).ok());
+  ASSERT_TRUE(t.fs->unmount().ok());
+  ASSERT_TRUE(craft_image(t.device.get(), GetParam().kind).ok());
+
   LogBuilder log;
-  log.push(req_create("/x"), OpOutcome{Errno::kOk, 2, 0, {}});
+  log.push(req_create("/x"), OpOutcome{Errno::kOk, 5, 0, {}});
   auto outcome = shadow_execute(t.device.get(), log.records, {});
-  EXPECT_FALSE(outcome.ok);
-  EXPECT_FALSE(outcome.failure.empty());
+  EXPECT_EQ(!outcome.ok, GetParam().refused)
+      << to_string(GetParam().kind) << ": " << outcome.failure;
+  EXPECT_EQ(outcome.failure.empty(), !GetParam().refused);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    FatalCraftKinds, ShadowReplayCraftTest,
+    ::testing::Values(
+        ShadowReplayCraftCase{CraftKind::kBadDirentNameLen, true},
+        // Known gap, pinned here so a fix has to flip it: open-time image
+        // validation checks bitmaps and inodes but never walks the tree,
+        // and the create does not resolve the damaged entry, so the
+        // shadow accepts these two images (shadow_fsck refuses both).
+        ShadowReplayCraftCase{CraftKind::kDanglingDirent, false},
+        ShadowReplayCraftCase{CraftKind::kWildInodePointer, true},
+        ShadowReplayCraftCase{CraftKind::kDirCycleLink, false}),
+    [](const ::testing::TestParamInfo<ShadowReplayCraftCase>& info) {
+      std::string name = to_string(info.param.kind);
+      for (char& c : name) {
+        if (c == '-') c = '_';
+      }
+      return name;
+    });
 
 TEST(ShadowReplay, ChecksScaleWithLevel) {
   auto t = make_test_device();

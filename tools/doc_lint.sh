@@ -1,7 +1,7 @@
 #!/bin/sh
 # doc_lint -- fail if the reference docs rot behind the code.
 #
-# Three contracts, all enforced as the `doc_lint` ctest:
+# Four contracts, all enforced as the `doc_lint` ctest:
 #
 #  1. src/obs/names.h is the single source of truth for metric and span
 #     names; every quoted dotted name in it must appear verbatim in
@@ -14,10 +14,10 @@
 #  3. every field of CrashxOptions and FuzzOptions (src/crashx/crashx.h)
 #     -- the crash explorer's knobs -- must appear verbatim in
 #     docs/CRASHX.md, same deal.
-#  4. every worker-count knob (any `*_workers` field of BaseFsOptions,
-#     ShadowConfig, or RaeOptions -- all of which accept 0 = auto) must
-#     appear verbatim in docs/RECOVERY.md, which owns the autotuning
-#     story.
+#  4. every worker-count knob (any `*_workers` field of BaseFsOptions or
+#     RaeOptions -- all of which accept 0 = auto) must appear verbatim in
+#     docs/RECOVERY.md, which owns the autotuning story. ShadowConfig has
+#     no worker knob: the shadow replays sequentially.
 #
 # Run from anywhere:
 #
@@ -106,26 +106,23 @@ done
 cxtotal=$(echo "$cxknobs" | wc -l)
 
 # --- contract 4: worker-count / autotune knobs ----------------------------
-# Any `*_workers` field of the structs that hold per-phase parallelism
-# knobs (RaeOptions is already covered by contract 2; BaseFsOptions and
-# ShadowConfig are not) must be documented in docs/RECOVERY.md.
+# Any `*_workers` field of BaseFsOptions (RaeOptions is already covered by
+# contract 2) must be documented in docs/RECOVERY.md.
 base_h="$root/src/basefs/base_fs.h"
-shadow_h="$root/src/shadowfs/shadow_replay.h"
-wknobs=$( (sed -n '/^struct BaseFsOptions {/,/^};/p' "$base_h"; \
-           sed -n '/^struct ShadowConfig {/,/^};/p' "$shadow_h") \
+wknobs=$(sed -n '/^struct BaseFsOptions {/,/^};/p' "$base_h" \
   | sed 's,//.*,,; s,///.*,,' \
   | sed 's/=.*/;/' \
   | grep -E '^[ \t]*[A-Za-z_][A-Za-z0-9_:<>, ]*[ \t][a-z_]*_workers[ \t]*;' \
   | sed -E 's/^.*[ \t]([a-z_]*_workers)[ \t]*;.*$/\1/' \
   | sort -u)
 if [ -z "$wknobs" ]; then
-  echo "doc_lint: extracted no *_workers fields from $base_h/$shadow_h (regex rotted?)" >&2
+  echo "doc_lint: extracted no *_workers fields from $base_h (regex rotted?)" >&2
   exit 1
 fi
 
 for knob in $wknobs; do
   if ! grep -qF "$knob" "$recovery_doc"; then
-    echo "doc_lint: worker knob '$knob' (BaseFsOptions/ShadowConfig) is not" \
+    echo "doc_lint: worker knob '$knob' (BaseFsOptions) is not" \
          "documented in docs/RECOVERY.md" >&2
     missing=$((missing + 1))
   fi
