@@ -12,7 +12,7 @@
 #include "rae/crash_restart.h"
 #include "rae/supervisor.h"
 #include "tests/support/fixtures.h"
-#include "ufs/ufs_supervisor.h"
+#include "ufs/shm_device.h"
 
 namespace raefs {
 namespace {
@@ -192,12 +192,13 @@ int main() {
   }
 
   // --- §4.2: kernel path vs microkernel path ------------------------------
-  // Same deterministic bug, same 64-op unsynced log. Kernel path: the
+  // Same deterministic bug, same 64-op unsynced log, same RaeSupervisor
+  // recovery pipeline; only the base host differs. Kernel path: the
   // supervisor destroys/rebuilds the in-process base and hands metadata
-  // back through install_blocks. Microkernel path: the bug kills a real
-  // server process over shared-memory storage; contained reboot is
-  // waitpid + fork and the supervisor writes the shadow's output straight
-  // into the store it owns.
+  // back through install_blocks. Microkernel path (fork_base): the bug
+  // kills a real server process over shared-memory storage; contained
+  // reboot is waitpid + fork and the supervisor writes the shadow's output
+  // straight into the store it owns.
   std::printf("\n--- §4.2: kernel-path vs microkernel-path recovery ---\n");
   std::printf("%14s %16s %22s\n", "path", "sim_recovery",
               "wall_us_per_recovery");
@@ -222,7 +223,7 @@ int main() {
     (void)sup.value()->shutdown();
   }
   {
-    // Microkernel path (UfsSupervisor): a real process dies.
+    // Microkernel path (forked base host): a real process dies.
     auto clock = make_clock();
     ShmBlockDevice dev(32768);
     MkfsOptions mkfs;
@@ -234,7 +235,9 @@ int main() {
     // must be armed BEFORE start: trigger on the 65th dispatched op.
     BugRegistry bugs;
     bugs.install(fire_at_op(64));
-    auto sup = UfsSupervisor::start(&dev, {}, clock, &bugs);
+    RaeOptions opts;
+    opts.fork_base = true;
+    auto sup = RaeSupervisor::start(&dev, opts, clock, &bugs);
     if (!sup.ok()) std::abort();
     for (uint64_t i = 0; i < 64; ++i) {
       (void)sup.value()->create("/f" + std::to_string(i), 0644);

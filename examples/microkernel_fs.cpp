@@ -1,15 +1,18 @@
-// The microkernel filesystem path (paper §4.2): the base filesystem runs
-// as a separate OS process over shared-memory storage. A triggered bug
-// kills that process for real -- and the application never notices,
-// because the supervisor reaps the corpse, recovers via the shadow, and
-// forks a fresh server.
+// The microkernel filesystem path (paper §4.2): with RaeOptions::fork_base
+// the base filesystem runs as a separate OS process over shared-memory
+// storage. A triggered bug kills that process for real -- and the
+// application never notices, because the supervisor reaps the corpse,
+// recovers through the same pipeline as the in-process base, and forks a
+// fresh server.
 //
 //   $ ./microkernel_fs
 #include <cstdio>
 #include <string>
 
 #include "faults/bug_library.h"
-#include "ufs/ufs_supervisor.h"
+#include "obs/incident.h"
+#include "rae/supervisor.h"
+#include "ufs/shm_device.h"
 #include "vfs/vfs.h"
 
 using namespace raefs;
@@ -26,9 +29,11 @@ int main() {
   BugRegistry bugs;
   bugs.install(bugs::make(bugs::kUnlinkLongNamePanic));
 
-  auto sup = UfsSupervisor::start(&device, UfsOptions{}, clock, &bugs);
+  RaeOptions opts;
+  opts.fork_base = true;
+  auto sup = RaeSupervisor::start(&device, opts, clock, &bugs);
   if (!sup.ok()) return 1;
-  Vfs<UfsSupervisor> vfs(sup.value().get());
+  Vfs<RaeSupervisor> vfs(sup.value().get());
 
   std::printf("-- filesystem server running as its own process --\n");
   (void)vfs.mkdir("/mail");
@@ -49,14 +54,20 @@ int main() {
   std::printf("unlink returned: %s\n\n", to_string(st.error()));
 
   const auto& stats = sup.value()->stats();
-  std::printf("server crashes observed:  %llu (a real process exit)\n",
-              static_cast<unsigned long long>(stats.server_crashes));
-  std::printf("servers forked:           %llu (initial + respawn)\n",
-              static_cast<unsigned long long>(stats.respawns));
+  std::printf("server deaths trapped:    %llu (a real process exit)\n",
+              static_cast<unsigned long long>(stats.panics_trapped));
+  std::printf("recoveries:               %llu\n",
+              static_cast<unsigned long long>(stats.recoveries));
   std::printf("ops replayed by shadow:   %llu\n",
               static_cast<unsigned long long>(stats.ops_replayed_total));
-  std::printf("recovery time:            %s (simulated)\n\n",
+  std::printf("recovery time:            %s (simulated)\n",
               format_nanos(stats.recovery_time.max()).c_str());
+  auto incs = obs::incidents().snapshot();
+  if (!incs.empty()) {
+    std::printf("incident trigger:         %s: %s\n\n",
+                incs.back().trigger_function.c_str(),
+                incs.back().trigger_detail.c_str());
+  }
 
   // The descriptor opened against the DEAD server still works: fds are
   // supervisor-owned essential state, and the store survived in shm.

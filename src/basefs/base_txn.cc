@@ -346,6 +346,7 @@ Journal::CommitDoneCb BaseFs::make_commit_done_(std::shared_ptr<CommitCtx> ctx) 
       // pipeline so recovery re-stages the still-dirty blocks).
       st = Errno::kIo;
     }
+    const size_t blocks = ctx->meta.size() + ctx->data_blocks.size();
     {
       std::lock_guard<std::mutex> g(commit_mu_);
       if (st.ok()) {
@@ -371,12 +372,16 @@ Journal::CommitDoneCb BaseFs::make_commit_done_(std::shared_ptr<CommitCtx> ctx) 
         // revokes; the retry's transaction must carry them again.
         return_pending_revokes_(ctx->revokes);
       }
+      // Drop the committed payload handles before any waiter wakes. The
+      // journal keeps this callback alive until its worker finishes the
+      // request, so a sync returning first would see the next modify of
+      // these blocks copy-on-write clone them.
+      ctx->meta.clear();
     }
     commit_cv_.notify_all();
-    if (st.ok() && (!ctx->meta.empty() || !ctx->data_blocks.empty())) {
+    if (st.ok() && blocks > 0) {
       obs::flight().record(obs::Component::kBaseFs, "commit", "",
-                           clock_ ? clock_->now() : 0,
-                           ctx->meta.size() + ctx->data_blocks.size());
+                           clock_ ? clock_->now() : 0, blocks);
     }
   };
 }

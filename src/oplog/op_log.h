@@ -53,6 +53,7 @@ class OpLog {
   Seq watermark_ = 0;
   uint64_t appended_ = 0;
   uint64_t truncated_ = 0;
+  size_t live_bytes_ = 0;  // running sum of records_' footprints
 };
 
 }  // namespace raefs

@@ -1,5 +1,6 @@
 #include "rae/crash_restart.h"
 
+#include "basefs/base_apply.h"
 #include "obs/flight_recorder.h"
 #include "obs/names.h"
 #include "obs/trace.h"
@@ -50,133 +51,21 @@ void CrashRestartSupervisor::machine_crash() {
   }
 }
 
-template <typename T>
-Result<T> CrashRestartSupervisor::run(
-    const std::function<Result<T>(BaseFs&)>& fn, bool mutates) {
+Result<OpOutcome> CrashRestartSupervisor::run_op(OpRequest req) {
   std::lock_guard<std::mutex> lk(mu_);
   if (shutdown_ || !base_) return Errno::kIo;
+  const bool mutates = op_mutates(req.kind) || op_is_sync(req.kind);
   try {
     if (mutates) base_->set_current_op_seq(issued_ + 1);
-    Result<T> result = fn(*base_);
-    if (mutates && result.ok()) ++issued_;
-    return result;
+    OpOutcome out = base_apply_op(*base_, req);
+    if (mutates && out.err == Errno::kOk) ++issued_;
+    return out;
   } catch (const FsPanicError&) {
     // The machine goes down; the application sees EIO for this op.
     ++stats_.app_visible_failures;
     machine_crash();
     return Errno::kIo;
   }
-}
-
-Result<Ino> CrashRestartSupervisor::lookup(std::string_view path) {
-  return run<Ino>([&](BaseFs& fs) { return fs.lookup(path); }, false);
-}
-Result<Ino> CrashRestartSupervisor::create(std::string_view path,
-                                           uint16_t mode) {
-  return run<Ino>([&](BaseFs& fs) { return fs.create(path, mode); }, true);
-}
-Result<Ino> CrashRestartSupervisor::mkdir(std::string_view path,
-                                          uint16_t mode) {
-  return run<Ino>([&](BaseFs& fs) { return fs.mkdir(path, mode); }, true);
-}
-Status CrashRestartSupervisor::unlink(std::string_view path) {
-  auto r = run<Ino>(
-      [&](BaseFs& fs) -> Result<Ino> {
-        RAEFS_TRY_VOID(fs.unlink(path));
-        return Ino{0};
-      },
-      true);
-  return r.ok() ? Status::Ok() : Status(r.error());
-}
-Status CrashRestartSupervisor::rmdir(std::string_view path) {
-  auto r = run<Ino>(
-      [&](BaseFs& fs) -> Result<Ino> {
-        RAEFS_TRY_VOID(fs.rmdir(path));
-        return Ino{0};
-      },
-      true);
-  return r.ok() ? Status::Ok() : Status(r.error());
-}
-Status CrashRestartSupervisor::rename(std::string_view src,
-                                      std::string_view dst) {
-  auto r = run<Ino>(
-      [&](BaseFs& fs) -> Result<Ino> {
-        RAEFS_TRY_VOID(fs.rename(src, dst));
-        return Ino{0};
-      },
-      true);
-  return r.ok() ? Status::Ok() : Status(r.error());
-}
-Status CrashRestartSupervisor::link(std::string_view existing,
-                                    std::string_view newpath) {
-  auto r = run<Ino>(
-      [&](BaseFs& fs) -> Result<Ino> {
-        RAEFS_TRY_VOID(fs.link(existing, newpath));
-        return Ino{0};
-      },
-      true);
-  return r.ok() ? Status::Ok() : Status(r.error());
-}
-Result<Ino> CrashRestartSupervisor::symlink(std::string_view linkpath,
-                                            std::string_view target) {
-  return run<Ino>([&](BaseFs& fs) { return fs.symlink(linkpath, target); },
-                  true);
-}
-Result<std::string> CrashRestartSupervisor::readlink(std::string_view path) {
-  return run<std::string>([&](BaseFs& fs) { return fs.readlink(path); },
-                          false);
-}
-Result<std::vector<DirEntry>> CrashRestartSupervisor::readdir(
-    std::string_view path) {
-  return run<std::vector<DirEntry>>(
-      [&](BaseFs& fs) { return fs.readdir(path); }, false);
-}
-Result<StatResult> CrashRestartSupervisor::stat(std::string_view path) {
-  return run<StatResult>([&](BaseFs& fs) { return fs.stat(path); }, false);
-}
-Result<StatResult> CrashRestartSupervisor::stat_ino(Ino ino) {
-  return run<StatResult>([&](BaseFs& fs) { return fs.stat_ino(ino); }, false);
-}
-Result<std::vector<uint8_t>> CrashRestartSupervisor::read(Ino ino,
-                                                          uint64_t gen,
-                                                          FileOff off,
-                                                          uint64_t len) {
-  return run<std::vector<uint8_t>>(
-      [&](BaseFs& fs) { return fs.read(ino, gen, off, len); }, false);
-}
-Result<uint64_t> CrashRestartSupervisor::write(Ino ino, uint64_t gen,
-                                               FileOff off,
-                                               std::span<const uint8_t> data) {
-  return run<uint64_t>(
-      [&](BaseFs& fs) { return fs.write(ino, gen, off, data); }, true);
-}
-Status CrashRestartSupervisor::truncate(Ino ino, uint64_t gen,
-                                        uint64_t new_size) {
-  auto r = run<Ino>(
-      [&](BaseFs& fs) -> Result<Ino> {
-        RAEFS_TRY_VOID(fs.truncate(ino, gen, new_size));
-        return Ino{0};
-      },
-      true);
-  return r.ok() ? Status::Ok() : Status(r.error());
-}
-Status CrashRestartSupervisor::fsync(Ino ino) {
-  auto r = run<Ino>(
-      [&](BaseFs& fs) -> Result<Ino> {
-        RAEFS_TRY_VOID(fs.fsync(ino));
-        return Ino{0};
-      },
-      true);
-  return r.ok() ? Status::Ok() : Status(r.error());
-}
-Status CrashRestartSupervisor::sync() {
-  auto r = run<Ino>(
-      [&](BaseFs& fs) -> Result<Ino> {
-        RAEFS_TRY_VOID(fs.sync());
-        return Ino{0};
-      },
-      true);
-  return r.ok() ? Status::Ok() : Status(r.error());
 }
 
 Status CrashRestartSupervisor::shutdown() {

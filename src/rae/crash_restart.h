@@ -16,6 +16,7 @@
 #include "basefs/base_fs.h"
 #include "blockdev/mem_device.h"
 #include "common/stats.h"
+#include "rae/op_facade.h"
 
 namespace raefs {
 
@@ -34,32 +35,14 @@ struct CrashRestartStats {
   LatencyHistogram restart_time;
 };
 
-class CrashRestartSupervisor {
+class CrashRestartSupervisor final : public OpFacade {
  public:
   static Result<std::unique_ptr<CrashRestartSupervisor>> start(
       MemBlockDevice* dev, const CrashRestartOptions& opts, SimClockPtr clock,
       BugRegistry* bugs);
 
-  // Application-facing API (same shape as RaeSupervisor).
-  Result<Ino> lookup(std::string_view path);
-  Result<Ino> create(std::string_view path, uint16_t mode);
-  Result<Ino> mkdir(std::string_view path, uint16_t mode);
-  Status unlink(std::string_view path);
-  Status rmdir(std::string_view path);
-  Status rename(std::string_view src, std::string_view dst);
-  Status link(std::string_view existing, std::string_view newpath);
-  Result<Ino> symlink(std::string_view linkpath, std::string_view target);
-  Result<std::string> readlink(std::string_view path);
-  Result<std::vector<DirEntry>> readdir(std::string_view path);
-  Result<StatResult> stat(std::string_view path);
-  Result<StatResult> stat_ino(Ino ino);
-  Result<std::vector<uint8_t>> read(Ino ino, uint64_t gen, FileOff off,
-                                    uint64_t len);
-  Result<uint64_t> write(Ino ino, uint64_t gen, FileOff off,
-                         std::span<const uint8_t> data);
-  Status truncate(Ino ino, uint64_t gen, uint64_t new_size);
-  Status fsync(Ino ino);
-  Status sync();
+  // The application-facing API is OpFacade's (same shape as
+  // RaeSupervisor).
 
   Status shutdown();
 
@@ -72,8 +55,7 @@ class CrashRestartSupervisor {
   Status mount_base();
   void machine_crash();
 
-  template <typename T>
-  Result<T> run(const std::function<Result<T>(BaseFs&)>& fn, bool mutates);
+  Result<OpOutcome> run_op(OpRequest req) override;
 
   MemBlockDevice* dev_;
   CrashRestartOptions opts_;

@@ -3,10 +3,8 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <cerrno>
-#include <cstring>
-
 #include "rae/wire.h"
+#include "ufs/ufs_proto.h"
 
 namespace raefs {
 
@@ -27,32 +25,6 @@ ShadowOutcome InProcessShadowExecutor::execute(
 }
 
 namespace {
-
-bool write_all(int fd, const uint8_t* data, size_t len) {
-  while (len > 0) {
-    ssize_t n = ::write(fd, data, len);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return false;
-    }
-    data += n;
-    len -= static_cast<size_t>(n);
-  }
-  return true;
-}
-
-bool read_all(int fd, uint8_t* data, size_t len) {
-  while (len > 0) {
-    ssize_t n = ::read(fd, data, len);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return false;
-    }
-    data += n;
-    len -= static_cast<size_t>(n);
-  }
-  return true;
-}
 
 ShadowOutcome fail(const char* why) {
   ShadowOutcome outcome;
@@ -98,32 +70,21 @@ ShadowOutcome ForkShadowExecutor::execute(BlockDevice* dev,
       auto child_clock = make_clock();  // fresh clock; delta reported back
       outcome = shadow_execute(dev, decoded.value(), config, child_clock);
     }
-    auto bytes = wire::encode_outcome(outcome);
-    uint64_t len = bytes.size();
-    bool sent =
-        write_all(pipefd[1], reinterpret_cast<const uint8_t*>(&len),
-                  sizeof(len)) &&
-        write_all(pipefd[1], bytes.data(), bytes.size());
+    bool sent = ufs::send_message(pipefd[1], wire::encode_outcome(outcome));
     ::close(pipefd[1]);
     ::_exit(sent ? 0 : 1);
   }
 
   // Parent.
   ::close(pipefd[1]);
-  uint64_t len = 0;
+  std::vector<uint8_t> bytes;
   ShadowOutcome outcome;
-  if (!read_all(pipefd[0], reinterpret_cast<uint8_t*>(&len), sizeof(len)) ||
-      len > (1ull << 31)) {
-    outcome = fail("shadow child produced no/oversized output");
+  if (!ufs::recv_message(pipefd[0], &bytes)) {
+    outcome = fail("shadow child produced no, truncated or oversized output");
   } else {
-    std::vector<uint8_t> bytes(len);
-    if (!read_all(pipefd[0], bytes.data(), bytes.size())) {
-      outcome = fail("shadow child output truncated");
-    } else {
-      auto decoded = wire::decode_outcome(bytes);
-      outcome = decoded.ok() ? std::move(decoded).value()
-                             : fail("outcome wire corruption");
-    }
+    auto decoded = wire::decode_outcome(bytes);
+    outcome = decoded.ok() ? std::move(decoded).value()
+                           : fail("outcome wire corruption");
   }
   ::close(pipefd[0]);
 

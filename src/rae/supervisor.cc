@@ -4,14 +4,15 @@
 
 #include "blockdev/qdepth_probe.h"
 #include "common/log.h"
+#include "format/superblock.h"
 #include "fsck/fsck.h"
 #include "journal/journal.h"
 #include "obs/flight_recorder.h"
 #include "obs/incident.h"
 #include "obs/names.h"
 #include "obs/trace.h"
-#include "oplog/payload.h"
 #include "rae/state_compare.h"
+#include "ufs/shm_device.h"
 
 namespace raefs {
 namespace {
@@ -69,9 +70,25 @@ RaeSupervisor::RaeSupervisor(BlockDevice* dev, const RaeOptions& opts,
 Result<std::unique_ptr<RaeSupervisor>> RaeSupervisor::start(
     BlockDevice* dev, const RaeOptions& opts, SimClockPtr clock,
     BugRegistry* bugs) {
+  auto* shm = dynamic_cast<ShmBlockDevice*>(dev);
+  if (opts.fork_base && shm == nullptr) return Errno::kInval;
+  std::vector<uint8_t> sb_block(kBlockSize);
+  RAEFS_TRY_VOID(dev->read_block(0, sb_block));
+  RAEFS_TRY(Superblock sb, Superblock::decode(sb_block));
+
   std::unique_ptr<RaeSupervisor> sup(
       new RaeSupervisor(dev, opts, std::move(clock), bugs));
-  RAEFS_TRY_VOID(sup->mount_base());
+  RAEFS_TRY(sup->geo_, sb.geometry());
+  if (opts.fork_base) {
+    sup->host_ = std::make_unique<ForkedBaseHost>(shm, opts.base, bugs);
+  } else {
+    OpLog* oplog = &sup->oplog_;
+    sup->host_ = std::make_unique<InProcessBaseHost>(
+        dev, opts.base, sup->clock_, bugs, &sup->warns_,
+        opts.contained_reboot_cost,
+        [oplog](Seq seq) { oplog->truncate_durable(seq); });
+  }
+  RAEFS_TRY_VOID(sup->host_->boot());
   RaeSupervisor* raw = sup.get();
   sup->obs_collector_ = obs::metrics().register_collector(
       [raw](obs::MetricsSink& sink) {
@@ -111,28 +128,15 @@ Result<std::unique_ptr<RaeSupervisor>> RaeSupervisor::start(
 
 RaeSupervisor::~RaeSupervisor() = default;
 
-Status RaeSupervisor::mount_base() {
-  RAEFS_TRY(base_, BaseFs::mount(dev_, opts_.base, clock_, bugs_, &warns_));
-  hook_base();
-  return Status::Ok();
-}
-
-void RaeSupervisor::hook_base() {
-  base_->set_durable_callback(
-      [this](Seq seq) { oplog_.truncate_durable(seq); });
-}
-
 Status RaeSupervisor::shutdown() {
   std::lock_guard<std::mutex> lk(mu_);
   if (shutdown_) return Errno::kInval;
   shutdown_ = true;
-  if (offline_ || !base_) return Status::Ok();
-  return base_->unmount();
+  if (offline_) return Status::Ok();
+  return host_->unmount();
 }
 
-BaseFsStats RaeSupervisor::base_stats() const {
-  return base_ ? base_->stats() : BaseFsStats{};
-}
+BaseFsStats RaeSupervisor::base_stats() const { return host_->stats(); }
 
 Result<ShadowOutcome> RaeSupervisor::scrub(bool deep) {
   // The lock is held throughout: the snapshot, the op-log capture, and
@@ -141,15 +145,16 @@ Result<ShadowOutcome> RaeSupervisor::scrub(bool deep) {
   // operations for the duration -- a maintenance trade-off.
   obs::OpScope op;
   std::lock_guard<std::mutex> lk(mu_);
-  if (offline_ || shutdown_ || !base_) return Errno::kIo;
+  if (offline_ || shutdown_) return Errno::kIo;
   auto* capable = dynamic_cast<SnapshotCapable*>(dev_);
-  if (capable == nullptr) return Errno::kNotSup;
+  if (capable == nullptr || (deep && host_->local() == nullptr)) {
+    return Errno::kNotSup;
+  }
   obs::TraceSpan span(obs::kSpanScrub, clock_.get());
   std::unique_ptr<BlockDevice> snap = capable->snapshot();
   std::vector<OpRecord> log = oplog_.snapshot();
-  Geometry geo = base_->geometry();
 
-  if (!Journal::replay(snap.get(), geo).ok()) return Errno::kIo;
+  if (!Journal::replay(snap.get(), geo_).ok()) return Errno::kIo;
   ShadowOutcome outcome =
       executor_->execute(snap.get(), log, opts_.shadow, clock_);
 
@@ -165,7 +170,7 @@ Result<ShadowOutcome> RaeSupervisor::scrub(bool deep) {
       auto reference = BaseFs::mount(snap.get(), BaseFsOptions{});
       if (reference.ok()) {
         auto diff = state_compare::diff_essential_state(*reference.value(),
-                                                        *base_);
+                                                        *host_->local());
         if (!diff.empty()) {
           outcome.discrepancies.push_back(
               Discrepancy{0, "deep-scrub state divergence:\n" + diff});
@@ -267,11 +272,11 @@ Result<ShadowOutcome> RaeSupervisor::recover(const FaultSite& site,
   end_phase(&RaeStats::detect_ns, &obs::Incident::detect_ns);
 
   // Contain: discard every byte of the base's in-memory state -- all of
-  // it is untrusted after the error.
-  Geometry geo = base_ ? base_->geometry() : Geometry{};
+  // it is untrusted after the error. In process that is destroying the
+  // BaseFs; on the forked host the server is already dead and is reaped.
   {
     obs::TraceSpan ps(obs::kSpanRecoveryContain, clock_.get(), rspan.id());
-    base_.reset();
+    host_->contain();
     charge_phase();
   }
   end_phase(&RaeStats::contain_ns, &obs::Incident::contain_ns);
@@ -298,21 +303,17 @@ Result<ShadowOutcome> RaeSupervisor::recover(const FaultSite& site,
   // state S0 via journal replay.
   {
     obs::TraceSpan ps(obs::kSpanRecoveryReboot, clock_.get(), rspan.id());
-    if (clock_) clock_->advance(opts_.contained_reboot_cost);
-    if (geo.total_blocks == 0) {
-      end_phase(&RaeStats::reboot_ns, &obs::Incident::reboot_ns);
-      return fail("no geometry available");
-    }
+    if (clock_) clock_->advance(host_->reboot_cost());
     obs::TraceSpan js(obs::kSpanJournalReplay, clock_.get(), ps.id());
     // Replay is idempotent; a transient device error mid-replay vanishes
     // on a re-run, so don't take the filesystem offline for one EIO.
-    auto replay = Journal::replay(dev_, geo, replay_workers);
+    auto replay = Journal::replay(dev_, geo_, replay_workers);
     for (uint32_t attempt = 0;
          !replay.ok() && attempt < opts_.recovery_io_retries; ++attempt) {
       ++stats_.recovery_io_retries;
       RAEFS_LOG_WARN("rae") << "journal replay attempt " << attempt + 1
                             << " failed; retrying";
-      replay = Journal::replay(dev_, geo, replay_workers);
+      replay = Journal::replay(dev_, geo_, replay_workers);
     }
     js.end();
     if (!replay.ok()) {
@@ -352,12 +353,15 @@ Result<ShadowOutcome> RaeSupervisor::recover(const FaultSite& site,
   end_phase(&RaeStats::replay_ns, &obs::Incident::replay_ns);
   if (!outcome.ok) return fail("shadow refused: " + outcome.failure);
 
-  // Download: reboot the base and absorb the shadow's metadata (hand-off).
+  // Download: boot a fresh base holding the shadow's output (hand-off).
+  // In process, a freshly mounted base installs it as one journaled
+  // transaction; on the forked host the blocks are written straight into
+  // the shared store and a fresh server is forked over it.
   {
     obs::TraceSpan ps(obs::kSpanRecoveryDownload, clock_.get(), rspan.id());
     // The download is idempotent (it installs the same shadow blocks), so
     // a transient IO error mid-install is survivable: replay the journal
-    // to clear any torn install transaction, remount, and install again.
+    // to clear any torn install transaction, reboot, and install again.
     // A base panic is NOT retried -- the shadow output deterministically
     // trips an invariant and would panic identically every attempt.
     Status downloaded = Errno::kIo;
@@ -374,17 +378,12 @@ Result<ShadowOutcome> RaeSupervisor::recover(const FaultSite& site,
         RAEFS_LOG_WARN("rae")
             << "metadata download attempt " << attempt
             << " failed; replaying journal and retrying";
-        base_.reset();
-        auto rereplay = Journal::replay(dev_, geo, replay_workers);
+        host_->contain();
+        auto rereplay = Journal::replay(dev_, geo_, replay_workers);
         if (!rereplay.ok()) continue;
       }
-      Status mounted = mount_base();
-      if (!mounted.ok()) {
-        downloaded = mounted;
-        continue;
-      }
       try {
-        downloaded = base_->install_blocks(outcome.dirty);
+        downloaded = host_->download(outcome.dirty);
       } catch (const FsPanicError& e) {
         end_phase(&RaeStats::download_ns, &obs::Incident::download_ns);
         return fail(std::string("base panicked absorbing shadow output: ") +
@@ -414,7 +413,7 @@ Result<ShadowOutcome> RaeSupervisor::recover(const FaultSite& site,
                            "device not snapshot-capable", now());
     } else {
       std::unique_ptr<BlockDevice> snap = capable->snapshot();
-      auto replayed = Journal::replay(snap.get(), geo, replay_workers);
+      auto replayed = Journal::replay(snap.get(), geo_, replay_workers);
       if (!replayed.ok()) {
         end_phase(&RaeStats::verify_ns, &obs::Incident::verify_ns);
         return fail("post-recovery verify: journal replay on snapshot "
@@ -477,15 +476,17 @@ Result<ShadowOutcome> RaeSupervisor::recover(const FaultSite& site,
 }
 
 Status RaeSupervisor::retry_sync_after_recovery() {
+  OpRequest sync;
+  sync.kind = OpKind::kSync;
   try {
-    return base_->sync();
+    return Status(host_->apply(sync, 0).err);
   } catch (const FsPanicError& e) {
     ++stats_.panics_trapped;
     // One nested recovery (the op log is empty now), then a final retry.
     auto rec = recover(e.site(), 0);
     if (!rec.ok()) return Errno::kIo;
     try {
-      return base_->sync();
+      return Status(host_->apply(sync, 0).err);
     } catch (const FsPanicError& e2) {
       stats_.last_failure =
           std::string("sync re-panicked after recovery: ") + e2.what();
@@ -516,348 +517,81 @@ void RaeSupervisor::maybe_recover_for_warns() {
 // operation plumbing
 // ---------------------------------------------------------------------------
 
-namespace {
-
-/// Pack a base-filesystem result into the recorded outcome, by op kind.
-OpOutcome pack_outcome(OpKind kind, Errno err, uint64_t value) {
-  OpOutcome out;
-  out.err = err;
-  if (err != Errno::kOk) return out;
-  switch (kind) {
-    case OpKind::kCreate:
-    case OpKind::kMkdir:
-    case OpKind::kSymlink:
-      out.assigned_ino = value;
-      break;
-    case OpKind::kWrite:
-      out.result_len = value;
-      break;
-    default:
-      break;
-  }
-  return out;
-}
-
-}  // namespace
-
-Result<uint64_t> RaeSupervisor::run_mutation_u64(
-    OpRequest req, const std::function<Result<uint64_t>(BaseFs&)>& fn) {
+Result<OpOutcome> RaeSupervisor::run_op(OpRequest req) {
   // Operation boundary when the supervisor is driven directly (tests,
   // workloads); under a Vfs the scope inherits the id minted above, so
   // one application call stays one operation.
   obs::OpScope op;
   std::lock_guard<std::mutex> lk(mu_);
   if (offline_ || shutdown_) return Errno::kIo;
-  OpKind kind = req.kind;
+  const OpKind kind = req.kind;
+  // Mutations and syncs are recorded; reads widen no app/disk gap.
+  const bool recorded = op_mutates(kind) || op_is_sync(kind);
   req.stamp = clock_ ? clock_->now() : 0;
-  if (clock_) {
-    // Recording cost: allocate the record + copy the write payload. Tiny
-    // next to device IO, but honestly accounted (bench_recording_overhead
-    // measures exactly this).
-    clock_->advance(100 + static_cast<Nanos>(req.data.size()) / 8);
+  auto note = [&] {
+    obs::flight().record(obs::Component::kRae, to_string(kind), req.path,
+                         req.stamp, req.ino, static_cast<uint64_t>(req.offset),
+                         req.data.empty() ? req.len : req.data.size());
+  };
+  Seq seq = 0;
+  if (recorded) {
+    if (clock_) {
+      // Recording cost: allocate the record + copy the write payload. Tiny
+      // next to device IO, but honestly accounted (bench_recording_overhead
+      // measures exactly this).
+      clock_->advance(100 + static_cast<Nanos>(req.data.size()) / 8);
+    }
+    note();
+    seq = oplog_.append_started(req);
   }
-  obs::flight().record(obs::Component::kRae, to_string(req.kind), req.path,
-                       req.stamp, req.ino, static_cast<uint64_t>(req.offset),
-                       req.data.empty() ? req.len : req.data.size());
-  Seq seq = oplog_.append_started(std::move(req));
-  base_->set_current_op_seq(seq);
   try {
-    Result<uint64_t> result = fn(*base_);
-    oplog_.complete(seq, pack_outcome(kind, result.ok() ? Errno::kOk
-                                                        : result.error(),
-                                      result.ok() ? result.value() : 0));
-    if (op_is_sync(kind) && result.ok()) {
-      // A successful sync made everything before it durable, including
-      // records the durable callback's watermark missed (its own seq).
-      oplog_.truncate_durable(seq);
-    } else if (opts_.max_oplog_bytes > 0 &&
-               oplog_.stats().live_bytes > opts_.max_oplog_bytes) {
-      // Bound recording memory: force the gap closed (the app never asked
-      // for this sync, so its failure is not the app's problem -- a panic
-      // here flows through the normal recovery path on the next op).
-      ++stats_.forced_syncs;
-      try {
-        if (base_->sync().ok()) oplog_.truncate_durable(seq);
-      } catch (const FsPanicError& e) {
-        ++stats_.panics_trapped;
-        (void)recover(e.site(), 0);
+    OpOutcome out = host_->apply(req, seq);
+    if (recorded) {
+      oplog_.complete(seq, out);
+      if (op_is_sync(kind) && out.err == Errno::kOk) {
+        // A successful sync made everything before it durable, including
+        // records the durable callback's watermark missed (its own seq).
+        oplog_.truncate_durable(seq);
+      } else if (opts_.max_oplog_bytes > 0 &&
+                 oplog_.stats().live_bytes > opts_.max_oplog_bytes) {
+        // Bound recording memory: force the gap closed (the app never
+        // asked for this sync, so its failure is not the app's problem --
+        // a panic here flows through the normal recovery path).
+        ++stats_.forced_syncs;
+        OpRequest sync;
+        sync.kind = OpKind::kSync;
+        try {
+          if (host_->apply(sync, 0).err == Errno::kOk) {
+            oplog_.truncate_durable(seq);
+          }
+        } catch (const FsPanicError& e) {
+          ++stats_.panics_trapped;
+          (void)recover(e.site(), 0);
+        }
       }
     }
     maybe_recover_for_warns();
-    return result;
+    return out;
   } catch (const FsPanicError& e) {
     ++stats_.panics_trapped;
+    if (!recorded) {
+      // A read tripped the error. Give the shadow a synthetic in-flight
+      // record so it executes the op autonomously -- the base never
+      // re-runs the trigger (error avoidance for read-path bugs).
+      note();
+      seq = oplog_.append_started(std::move(req));
+    }
     auto rec = recover(e.site(), seq);
     if (!rec.ok()) return Errno::kIo;
-    if (op_is_sync(kind)) {
-      // recover() already re-issued the sync (inflight_retry_syncs).
-      return uint64_t{0};
-    }
-    for (const auto& [s, out] : rec.value().inflight_results) {
-      if (s != seq) continue;
-      if (out.err != Errno::kOk) return out.err;
-      switch (kind) {
-        case OpKind::kCreate:
-        case OpKind::kMkdir:
-        case OpKind::kSymlink:
-          return out.assigned_ino;
-        case OpKind::kWrite:
-          return out.result_len;
-        default:
-          return uint64_t{0};
-      }
+    // recover() already re-issued an in-flight sync (inflight_retry_syncs).
+    if (op_is_sync(kind)) return OpOutcome{};
+    for (auto& [s, out] : rec.value().inflight_results) {
+      if (s == seq) return std::move(out);
     }
     // The shadow produced no result for the in-flight op: refuse rather
     // than guess.
     return Errno::kIo;
   }
-}
-
-// ---------------------------------------------------------------------------
-// mutating operations
-// ---------------------------------------------------------------------------
-
-Result<Ino> RaeSupervisor::create(std::string_view path, uint16_t mode) {
-  OpRequest req;
-  req.kind = OpKind::kCreate;
-  req.path = std::string(path);
-  req.mode = mode;
-  RAEFS_TRY(uint64_t ino, run_mutation_u64(std::move(req), [&](BaseFs& fs) {
-              return fs.create(path, mode);
-            }));
-  return Ino{ino};
-}
-
-Result<Ino> RaeSupervisor::mkdir(std::string_view path, uint16_t mode) {
-  OpRequest req;
-  req.kind = OpKind::kMkdir;
-  req.path = std::string(path);
-  req.mode = mode;
-  RAEFS_TRY(uint64_t ino, run_mutation_u64(std::move(req), [&](BaseFs& fs) {
-              return fs.mkdir(path, mode);
-            }));
-  return Ino{ino};
-}
-
-Result<Ino> RaeSupervisor::symlink(std::string_view linkpath,
-                                   std::string_view target) {
-  OpRequest req;
-  req.kind = OpKind::kSymlink;
-  req.path = std::string(linkpath);
-  req.path2 = std::string(target);
-  RAEFS_TRY(uint64_t ino, run_mutation_u64(std::move(req), [&](BaseFs& fs) {
-              return fs.symlink(linkpath, target);
-            }));
-  return Ino{ino};
-}
-
-namespace {
-Result<uint64_t> as_u64(Status st) {
-  if (!st.ok()) return st.error();
-  return uint64_t{0};
-}
-}  // namespace
-
-Status RaeSupervisor::unlink(std::string_view path) {
-  OpRequest req;
-  req.kind = OpKind::kUnlink;
-  req.path = std::string(path);
-  RAEFS_TRY_VOID(run_mutation_u64(std::move(req), [&](BaseFs& fs) {
-    return as_u64(fs.unlink(path));
-  }));
-  return Status::Ok();
-}
-
-Status RaeSupervisor::rmdir(std::string_view path) {
-  OpRequest req;
-  req.kind = OpKind::kRmdir;
-  req.path = std::string(path);
-  RAEFS_TRY_VOID(run_mutation_u64(std::move(req), [&](BaseFs& fs) {
-    return as_u64(fs.rmdir(path));
-  }));
-  return Status::Ok();
-}
-
-Status RaeSupervisor::rename(std::string_view src, std::string_view dst) {
-  OpRequest req;
-  req.kind = OpKind::kRename;
-  req.path = std::string(src);
-  req.path2 = std::string(dst);
-  RAEFS_TRY_VOID(run_mutation_u64(std::move(req), [&](BaseFs& fs) {
-    return as_u64(fs.rename(src, dst));
-  }));
-  return Status::Ok();
-}
-
-Status RaeSupervisor::link(std::string_view existing,
-                           std::string_view newpath) {
-  OpRequest req;
-  req.kind = OpKind::kLink;
-  req.path = std::string(existing);
-  req.path2 = std::string(newpath);
-  RAEFS_TRY_VOID(run_mutation_u64(std::move(req), [&](BaseFs& fs) {
-    return as_u64(fs.link(existing, newpath));
-  }));
-  return Status::Ok();
-}
-
-Result<uint64_t> RaeSupervisor::write(Ino ino, uint64_t gen, FileOff off,
-                                      std::span<const uint8_t> data) {
-  OpRequest req;
-  req.kind = OpKind::kWrite;
-  req.ino = ino;
-  req.gen = gen;
-  req.offset = off;
-  req.data.assign(data.begin(), data.end());
-  return run_mutation_u64(std::move(req), [&](BaseFs& fs) {
-    return fs.write(ino, gen, off, data);
-  });
-}
-
-Status RaeSupervisor::truncate(Ino ino, uint64_t gen, uint64_t new_size) {
-  OpRequest req;
-  req.kind = OpKind::kTruncate;
-  req.ino = ino;
-  req.gen = gen;
-  req.len = new_size;
-  RAEFS_TRY_VOID(run_mutation_u64(std::move(req), [&](BaseFs& fs) {
-    return as_u64(fs.truncate(ino, gen, new_size));
-  }));
-  return Status::Ok();
-}
-
-Status RaeSupervisor::fsync(Ino ino) {
-  OpRequest req;
-  req.kind = OpKind::kFsync;
-  req.ino = ino;
-  RAEFS_TRY_VOID(run_mutation_u64(std::move(req), [&](BaseFs& fs) {
-    return as_u64(fs.fsync(ino));
-  }));
-  return Status::Ok();
-}
-
-Status RaeSupervisor::sync() {
-  OpRequest req;
-  req.kind = OpKind::kSync;
-  RAEFS_TRY_VOID(run_mutation_u64(std::move(req), [&](BaseFs& fs) {
-    return as_u64(fs.sync());
-  }));
-  return Status::Ok();
-}
-
-// ---------------------------------------------------------------------------
-// read operations
-// ---------------------------------------------------------------------------
-
-// Reads are not recorded (they widen no app/disk gap). When one triggers
-// an error, a synthetic in-flight record is appended to the shadow's input
-// so the shadow executes it autonomously -- the base never re-runs the
-// trigger (error avoidance for read-path deterministic bugs).
-template <typename T>
-Result<T> RaeSupervisor::run_read(
-    OpRequest probe, const std::function<Result<T>(BaseFs&)>& fn,
-    const std::function<Result<T>(const OpOutcome&)>& from_shadow) {
-  obs::OpScope op;
-  std::lock_guard<std::mutex> lk(mu_);
-  if (offline_ || shutdown_) return Errno::kIo;
-  try {
-    Result<T> result = fn(*base_);
-    maybe_recover_for_warns();
-    return result;
-  } catch (const FsPanicError& e) {
-    ++stats_.panics_trapped;
-    probe.stamp = clock_ ? clock_->now() : 0;
-    obs::flight().record(obs::Component::kRae, to_string(probe.kind),
-                         probe.path, probe.stamp, probe.ino,
-                         static_cast<uint64_t>(probe.offset), probe.len);
-    Seq seq = oplog_.append_started(std::move(probe));
-    auto rec = recover(e.site(), seq);
-    if (!rec.ok()) return Errno::kIo;
-    for (const auto& [s, out] : rec.value().inflight_results) {
-      if (s == seq) return from_shadow(out);
-    }
-    return Errno::kIo;
-  }
-}
-
-Result<Ino> RaeSupervisor::lookup(std::string_view path) {
-  OpRequest probe;
-  probe.kind = OpKind::kLookup;
-  probe.path = std::string(path);
-  return run_read<Ino>(
-      std::move(probe), [&](BaseFs& fs) { return fs.lookup(path); },
-      [](const OpOutcome& out) -> Result<Ino> {
-        if (out.err != Errno::kOk) return out.err;
-        return out.assigned_ino;
-      });
-}
-
-Result<std::string> RaeSupervisor::readlink(std::string_view path) {
-  OpRequest probe;
-  probe.kind = OpKind::kReadlink;
-  probe.path = std::string(path);
-  return run_read<std::string>(
-      std::move(probe), [&](BaseFs& fs) { return fs.readlink(path); },
-      [](const OpOutcome& out) -> Result<std::string> {
-        if (out.err != Errno::kOk) return out.err;
-        return std::string(out.payload.begin(), out.payload.end());
-      });
-}
-
-Result<std::vector<DirEntry>> RaeSupervisor::readdir(std::string_view path) {
-  OpRequest probe;
-  probe.kind = OpKind::kReaddir;
-  probe.path = std::string(path);
-  return run_read<std::vector<DirEntry>>(
-      std::move(probe), [&](BaseFs& fs) { return fs.readdir(path); },
-      [](const OpOutcome& out) -> Result<std::vector<DirEntry>> {
-        if (out.err != Errno::kOk) return out.err;
-        return decode_dirents(out.payload);
-      });
-}
-
-namespace {
-Result<StatResult> stat_from_outcome(const OpOutcome& out) {
-  if (out.err != Errno::kOk) return out.err;
-  RAEFS_TRY(StatPayload st, decode_stat(out.payload));
-  return StatResult{st.ino, st.type, st.size, st.nlink, st.mode,
-                    st.generation};
-}
-}  // namespace
-
-Result<StatResult> RaeSupervisor::stat(std::string_view path) {
-  OpRequest probe;
-  probe.kind = OpKind::kStat;
-  probe.path = std::string(path);
-  return run_read<StatResult>(
-      std::move(probe), [&](BaseFs& fs) { return fs.stat(path); },
-      stat_from_outcome);
-}
-
-Result<StatResult> RaeSupervisor::stat_ino(Ino ino) {
-  OpRequest probe;
-  probe.kind = OpKind::kStat;
-  probe.ino = ino;
-  return run_read<StatResult>(
-      std::move(probe), [&](BaseFs& fs) { return fs.stat_ino(ino); },
-      stat_from_outcome);
-}
-
-Result<std::vector<uint8_t>> RaeSupervisor::read(Ino ino, uint64_t gen,
-                                                 FileOff off, uint64_t len) {
-  OpRequest probe;
-  probe.kind = OpKind::kRead;
-  probe.ino = ino;
-  probe.gen = gen;
-  probe.offset = off;
-  probe.len = len;
-  return run_read<std::vector<uint8_t>>(
-      std::move(probe),
-      [&](BaseFs& fs) { return fs.read(ino, gen, off, len); },
-      [](const OpOutcome& out) -> Result<std::vector<uint8_t>> {
-        if (out.err != Errno::kOk) return out.err;
-        return out.payload;
-      });
 }
 
 }  // namespace raefs

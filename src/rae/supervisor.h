@@ -6,12 +6,14 @@
 //   - traps runtime errors: FsPanicError from the base (BUG()/oops class),
 //     WARN escalation per policy, and validate-on-sync failures (which
 //     also surface as panics);
-//   - on error, performs the contained reboot (destroy the base instance,
-//     discarding all its in-memory state; replay the journal to reach the
-//     trusted on-disk state S0), runs the shadow over the recorded
-//     sequence, downloads the shadow's metadata into a freshly mounted
-//     base, delivers the in-flight operation's result to the caller, and
-//     resumes -- the application never observes the bug;
+//   - on error, performs the contained reboot (discard the base and all
+//     its in-memory state; replay the journal to reach the trusted on-disk
+//     state S0), runs the shadow over the recorded sequence, downloads the
+//     shadow's metadata into a fresh base, delivers the in-flight
+//     operation's result to the caller, and resumes -- the application
+//     never observes the bug. The base runs in this process or as a forked
+//     server (RaeOptions::fork_base, rae/base_host.h); this is the one
+//     recovery pipeline for both;
 //   - if the shadow itself refuses (corrupt/crafted image, fatal
 //     discrepancy), takes the filesystem offline cleanly (every subsequent
 //     operation fails with EIO) instead of crashing the machine.
@@ -31,7 +33,9 @@
 #include "blockdev/block_device.h"
 #include "common/stats.h"
 #include "oplog/op_log.h"
+#include "rae/base_host.h"
 #include "rae/executor.h"
+#include "rae/op_facade.h"
 
 namespace raefs {
 
@@ -52,8 +56,15 @@ struct RaeOptions {
   /// Run the shadow in a forked process (true) or in-process (false).
   bool fork_shadow = false;
 
-  /// Simulated fixed cost of the contained reboot (discarding state,
-  /// journal replay bookkeeping, remount) beyond the device IO it does.
+  /// Where the base runs (rae/base_host.h): in this process (false), or
+  /// as a forked server process over the shared store (true; the device
+  /// must be a ShmBlockDevice). Recovery is the same pipeline on both;
+  /// only containment and the download differ (docs/RECOVERY.md).
+  bool fork_base = false;
+
+  /// Simulated fixed cost of the in-process contained reboot (discarding
+  /// state, journal replay bookkeeping, remount) beyond the device IO it
+  /// does. The forked host charges ForkedBaseHost::kRespawnCost instead.
   Nanos contained_reboot_cost = 2 * kMilli;
 
   /// Simulated CPU cost charged once per recovery phase (detection
@@ -146,38 +157,21 @@ struct RaeStats {
   Nanos resume_ns = 0;
 };
 
-class RaeSupervisor {
+class RaeSupervisor final : public OpFacade {
  public:
-  /// Mount `dev` (already mkfs'ed) under RAE supervision.
+  /// Mount `dev` (already mkfs'ed) under RAE supervision. With
+  /// `opts.fork_base`, `dev` must be a ShmBlockDevice (kInval otherwise).
   static Result<std::unique_ptr<RaeSupervisor>> start(BlockDevice* dev,
                                                       const RaeOptions& opts,
                                                       SimClockPtr clock,
                                                       BugRegistry* bugs);
-  ~RaeSupervisor();
+  ~RaeSupervisor() override;
 
   RaeSupervisor(const RaeSupervisor&) = delete;
   RaeSupervisor& operator=(const RaeSupervisor&) = delete;
 
-  // --- application-facing API (mirrors BaseFs) --------------------------
-  Result<Ino> lookup(std::string_view path);
-  Result<Ino> create(std::string_view path, uint16_t mode);
-  Result<Ino> mkdir(std::string_view path, uint16_t mode);
-  Status unlink(std::string_view path);
-  Status rmdir(std::string_view path);
-  Status rename(std::string_view src, std::string_view dst);
-  Status link(std::string_view existing, std::string_view newpath);
-  Result<Ino> symlink(std::string_view linkpath, std::string_view target);
-  Result<std::string> readlink(std::string_view path);
-  Result<std::vector<DirEntry>> readdir(std::string_view path);
-  Result<StatResult> stat(std::string_view path);
-  Result<StatResult> stat_ino(Ino ino);
-  Result<std::vector<uint8_t>> read(Ino ino, uint64_t gen, FileOff off,
-                                    uint64_t len);
-  Result<uint64_t> write(Ino ino, uint64_t gen, FileOff off,
-                         std::span<const uint8_t> data);
-  Status truncate(Ino ino, uint64_t gen, uint64_t new_size);
-  Status fsync(Ino ino);
-  Status sync();
+  // The application-facing API (lookup ... sync, mirroring BaseFs) is
+  // OpFacade's; every call arrives here as one request in run_op().
 
   /// Clean shutdown: commit, checkpoint, mark clean. The supervisor is
   /// unusable afterwards.
@@ -191,8 +185,8 @@ class RaeSupervisor {
   /// ESSENTIAL STATE (names, sizes, nlink, full file contents) against
   /// the live base -- the only detector for silent data corruption,
   /// which metadata validation, fsck and outcome cross-checks all miss.
-  /// Requires a SnapshotCapable device; kNotSup otherwise. Operations
-  /// are blocked for the duration.
+  /// Requires a SnapshotCapable device; kNotSup otherwise, and for `deep`
+  /// on the forked base host. Operations are blocked for the duration.
   Result<ShadowOutcome> scrub(bool deep = false);
 
   // --- introspection ------------------------------------------------------
@@ -208,8 +202,9 @@ class RaeSupervisor {
   RaeSupervisor(BlockDevice* dev, const RaeOptions& opts, SimClockPtr clock,
                 BugRegistry* bugs);
 
-  Status mount_base();
-  void hook_base();
+  /// The one op funnel: record (mutations and syncs), execute on the
+  /// host, and on a trapped error recover and answer from the shadow.
+  Result<OpOutcome> run_op(OpRequest req) override;
 
   /// Full recovery pipeline. `inflight_seq` identifies the op whose
   /// execution raised the error (0 = none, e.g. WARN-triggered recovery).
@@ -221,15 +216,6 @@ class RaeSupervisor {
   /// if it panics again a second recovery runs with an empty log.
   Status retry_sync_after_recovery();
 
-  /// All mutating ops funnel through here (their scalar results all fit
-  /// in a uint64_t: new ino, bytes written, or 0).
-  Result<uint64_t> run_mutation_u64(
-      OpRequest req, const std::function<Result<uint64_t>(BaseFs&)>& fn);
-  template <typename T>
-  Result<T> run_read(OpRequest probe,
-                     const std::function<Result<T>(BaseFs&)>& fn,
-                     const std::function<Result<T>(const OpOutcome&)>&
-                         from_shadow);
   void maybe_recover_for_warns();
 
   BlockDevice* dev_;
@@ -238,9 +224,10 @@ class RaeSupervisor {
   BugRegistry* bugs_;
   WarnSink warns_;
   std::unique_ptr<ShadowExecutor> executor_;
+  Geometry geo_;
 
   std::mutex mu_;  // serializes all operations and recovery
-  std::unique_ptr<BaseFs> base_;
+  std::unique_ptr<BaseHost> host_;
   OpLog oplog_;
   RaeStats stats_;
   bool offline_ = false;

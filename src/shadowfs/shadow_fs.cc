@@ -3,6 +3,8 @@
 #include "shadowfs/shadow_fs.h"
 
 #include <cstring>
+#include <deque>
+#include <unordered_set>
 
 #include "common/panic.h"
 
@@ -71,6 +73,7 @@ void ShadowFs::validate_image_extensive() {
   //  - metadata region blocks are marked allocated in the block bitmap;
   //  - every allocated inode decodes, validates, and its bit agrees;
   //  - the root inode is an allocated directory;
+  //  - the directory tree is sound (walk_tree; file contents unread);
   //  - free counters are derived for later cross-checks.
   free_blocks_ = 0;
   for (uint64_t i = 0; i < geo_.block_bitmap_blocks; ++i) {
@@ -113,6 +116,38 @@ void ShadowFs::validate_image_extensive() {
   auto root = get_inode(kRootIno);
   check_extensive(root.type == FileType::kDirectory,
                   "root inode is not a directory");
+  walk_tree();
+}
+
+void ShadowFs::walk_tree(const TreeVisitor& visit) {
+  // Breadth-first by inode number, so the walk costs one inode read per
+  // entry plus the directory blocks -- no per-entry path resolution.
+  std::deque<std::pair<std::string, Ino>> dirs;
+  std::unordered_set<Ino> seen_dirs{kRootIno};
+  dirs.emplace_back("/", kRootIno);
+  while (!dirs.empty()) {
+    auto [dir_path, dir_ino] = std::move(dirs.front());
+    dirs.pop_front();
+    auto entries = dir_entries(get_inode(dir_ino));
+    SHADOW_CHECK(entries.ok(), "directory unreadable during walk");
+    for (const DirEntry& entry : entries.value()) {
+      std::string path = (dir_path == "/" ? "" : dir_path) + "/" + entry.name;
+      // get_inode range-checks the number and refuses an in-use inode
+      // whose bitmap bit is clear.
+      DiskInode inode = get_inode(entry.ino);
+      SHADOW_CHECK(inode.in_use(), "dirent references a free inode");
+      SHADOW_CHECK(inode.type == entry.type,
+                   "dirent type disagrees with inode");
+      if (entry.type == FileType::kDirectory) {
+        // A directory reachable twice is a cycle or an illegal hard link
+        // -- and would loop the walk forever.
+        SHADOW_CHECK(seen_dirs.insert(entry.ino).second,
+                     "directory reachable via multiple paths");
+        dirs.emplace_back(path, entry.ino);
+      }
+      if (visit) visit(path, entry, inode);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -19,8 +19,10 @@
 // the shadow refuses to take an unchecked step (e.g. on a crafted image).
 #pragma once
 
+#include <functional>
 #include <map>
 #include <optional>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -82,6 +84,17 @@ class ShadowFs {
                          std::span<const uint8_t> data, Nanos stamp);
   Status truncate(Ino ino, uint64_t gen, uint64_t new_size, Nanos stamp);
 
+  /// Walk the whole directory tree from the root through the checked
+  /// accessors: every dirent must name an allocated inode of the entry's
+  /// type, and no directory may be reachable twice (a cycle or an illegal
+  /// directory hard link). `visit`, if set, sees every entry with its
+  /// path and inode. The extensive open runs this walk without a visitor;
+  /// shadow_fsck runs it with one. Throws ShadowCheckError on a violation.
+  using TreeVisitor = std::function<void(const std::string& path,
+                                         const DirEntry& entry,
+                                         const DiskInode& inode)>;
+  void walk_tree(const TreeVisitor& visit = {});
+
   // --- output -----------------------------------------------------------
   /// Final validation (kExtensive) and the overlay as install-ready
   /// blocks: the complete effect of every executed operation.
@@ -136,6 +149,7 @@ class ShadowFs {
   Status dir_insert(DiskInode* dir, const DirEntry& entry);
   Status dir_remove(DiskInode* dir, std::string_view name);
   Result<bool> dir_empty(const DiskInode& dir);
+  Result<std::vector<DirEntry>> dir_entries(const DiskInode& dir);
   Result<Ino> create_common(std::string_view path, uint16_t mode,
                             FileType type, std::string_view symlink_target,
                             Nanos stamp, Ino forced_ino);

@@ -1,9 +1,5 @@
 #include "shadowfs/shadow_fsck.h"
 
-#include <deque>
-#include <string>
-#include <unordered_set>
-
 #include "common/panic.h"
 #include "shadowfs/shadow_fs.h"
 
@@ -13,52 +9,29 @@ ShadowFsckReport shadow_fsck(BlockDevice* dev, SimClockPtr clock) {
   ShadowFsckReport report;
   ShadowFs fs(dev, ShadowCheckLevel::kExtensive, std::move(clock));
   try {
-    fs.open();  // superblock + full allocation-state validation
-
-    // Walk every reachable object through the shadow's checked accessors.
-    std::deque<std::string> dirs;
-    std::unordered_set<Ino> seen_dirs;
-    seen_dirs.insert(kRootIno);
-    dirs.push_back("/");
-    while (!dirs.empty()) {
-      std::string dir = dirs.front();
-      dirs.pop_front();
+    // Superblock, full allocation state and the tree's structure.
+    fs.open();
+    // The same walk again, now reading every file's and symlink's
+    // contents: touching every mapped block validates the pointer chains.
+    report.inodes_walked = 1;  // the root
+    fs.walk_tree([&](const std::string& path, const DirEntry& entry,
+                     const DiskInode& inode) {
+      ++report.entries_walked;
       ++report.inodes_walked;
-      auto entries = fs.readdir(dir);
-      SHADOW_CHECK(entries.ok(), "directory unreadable during walk");
-      for (const auto& entry : entries.value()) {
-        ++report.entries_walked;
-        std::string child = (dir == "/" ? "" : dir) + "/" + entry.name;
-        auto st = fs.stat(child);
-        SHADOW_CHECK(st.ok(), "stat failed for reachable entry");
-        SHADOW_CHECK(st.value().type == entry.type,
-                     "dirent type disagrees with inode");
-        switch (entry.type) {
-          case FileType::kDirectory:
-            // A directory reachable twice is a cycle or an illegal hard
-            // link -- and would loop the walk forever.
-            SHADOW_CHECK(seen_dirs.insert(entry.ino).second,
-                         "directory reachable via multiple paths");
-            dirs.push_back(child);
-            break;
-          case FileType::kRegular: {
-            ++report.inodes_walked;
-            // Touch every mapped block: validates the pointer chains.
-            auto content = fs.read(st.value().ino, 0, 0, st.value().size);
-            SHADOW_CHECK(content.ok(), "file content unreadable");
-            break;
-          }
-          case FileType::kSymlink: {
-            ++report.inodes_walked;
-            SHADOW_CHECK(fs.readlink(child).ok(),
-                         "symlink target unreadable");
-            break;
-          }
-          default:
-            SHADOW_CHECK(false, "unexpected entry type");
-        }
+      switch (entry.type) {
+        case FileType::kDirectory:
+          break;
+        case FileType::kRegular:
+          SHADOW_CHECK(fs.read(entry.ino, 0, 0, inode.size).ok(),
+                       "file content unreadable");
+          break;
+        case FileType::kSymlink:
+          SHADOW_CHECK(fs.readlink(path).ok(), "symlink target unreadable");
+          break;
+        default:
+          SHADOW_CHECK(false, "unexpected entry type");
       }
-    }
+    });
     report.ok = true;
   } catch (const ShadowCheckError& e) {
     report.ok = false;

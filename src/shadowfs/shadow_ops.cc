@@ -366,15 +366,12 @@ Status ShadowFs::link(std::string_view existing, std::string_view newpath,
 // readdir / stat / readlink
 // ---------------------------------------------------------------------------
 
-Result<std::vector<DirEntry>> ShadowFs::readdir(std::string_view path) {
-  RAEFS_TRY(Ino ino, resolve(path));
-  DiskInode dir = get_inode(ino);
-  if (dir.type != FileType::kDirectory) return Errno::kNotDir;
-
+Result<std::vector<DirEntry>> ShadowFs::dir_entries(const DiskInode& dir) {
+  DiskInode scan = dir;
   std::vector<DirEntry> out;
   uint64_t nblocks = dir.size_blocks();
   for (uint64_t fb = 0; fb < nblocks; ++fb) {
-    RAEFS_TRY(BlockNo b, map_block(&dir, fb, /*alloc=*/false));
+    RAEFS_TRY(BlockNo b, map_block(&scan, fb, /*alloc=*/false));
     if (b == 0) continue;
     auto data = read_block(b);
     auto entries = dirent_scan_block(data);
@@ -384,6 +381,13 @@ Result<std::vector<DirEntry>> ShadowFs::readdir(std::string_view path) {
   std::sort(out.begin(), out.end(),
             [](const DirEntry& a, const DirEntry& b) { return a.name < b.name; });
   return out;
+}
+
+Result<std::vector<DirEntry>> ShadowFs::readdir(std::string_view path) {
+  RAEFS_TRY(Ino ino, resolve(path));
+  DiskInode dir = get_inode(ino);
+  if (dir.type != FileType::kDirectory) return Errno::kNotDir;
+  return dir_entries(dir);
 }
 
 Result<StatResult> ShadowFs::stat(std::string_view path) {

@@ -132,7 +132,7 @@ bool recv_message(int fd, std::vector<uint8_t>* out) {
                  (static_cast<uint32_t>(header[1]) << 8) |
                  (static_cast<uint32_t>(header[2]) << 16) |
                  (static_cast<uint32_t>(header[3]) << 24);
-  if (len > (64u << 20)) return false;  // sanity cap
+  if (len > (1u << 31)) return false;  // sanity cap
   out->resize(len);
   return read_all(out->data(), len);
 }

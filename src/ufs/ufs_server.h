@@ -1,5 +1,6 @@
 // The microkernel-style filesystem server (paper §4.2): a BaseFs mounted
-// inside its own process, serving operations over the pipe protocol.
+// inside its own process, serving operations over the pipe protocol. It
+// is RaeSupervisor's forked base host (RaeOptions::fork_base).
 //
 // Faithful failure semantics: a bug (FsPanicError) KILLS THE PROCESS --
 // the server exits without replying, the supervisor observes EOF on the
@@ -8,6 +9,7 @@
 // contained reboot".
 #pragma once
 
+#include "basefs/base_fs.h"
 #include "blockdev/block_device.h"
 #include "faults/bug_registry.h"
 
@@ -19,10 +21,11 @@ inline constexpr int kServerExitClean = 0;
 inline constexpr int kServerExitPanic = 42;
 inline constexpr int kServerExitMountFailed = 43;
 
-/// Run the server loop (never returns; calls _exit). `req_fd` delivers
-/// frames, `resp_fd` carries responses. `bugs` may be null.
-[[noreturn]] void run_server(BlockDevice* dev, int req_fd, int resp_fd,
-                             BugRegistry* bugs);
+/// Run the server loop (never returns; calls _exit). The first response
+/// on `resp_fd` reports the mount's status; after that `req_fd` delivers
+/// frames and each op frame gets one response. `bugs` may be null.
+[[noreturn]] void run_server(BlockDevice* dev, const BaseFsOptions& opts,
+                             int req_fd, int resp_fd, BugRegistry* bugs);
 
 }  // namespace ufs
 }  // namespace raefs

@@ -81,6 +81,30 @@ TEST(OpLog, StatsTrackFootprint) {
   EXPECT_EQ(stats.appended, 1u);
 }
 
+TEST(OpLog, LiveBytesEqualsSumOfFootprints) {
+  // live_bytes is a running total (the supervisor reads it on every
+  // mutation); it must equal a full recount after every log operation.
+  OpLog log;
+  auto recount = [&] {
+    size_t sum = 0;
+    for (const auto& r : log.snapshot()) sum += r.req.footprint();
+    return sum;
+  };
+  for (int i = 0; i < 6; ++i) {
+    OpRequest req = make_req(OpKind::kWrite, "/f" + std::to_string(i));
+    req.data.assign(100 * (i + 1), 0x5A);
+    Seq seq = log.append_started(std::move(req));
+    if (i != 3) log.complete(seq, OpOutcome{});  // seq 4 stays in flight
+    EXPECT_EQ(log.stats().live_bytes, recount()) << "after append " << i;
+  }
+  log.truncate_durable(5);  // drops 1..3 and 5; in-flight 4 survives
+  EXPECT_EQ(log.stats().live_records, 2u);
+  EXPECT_EQ(log.stats().live_bytes, recount());
+  log.clear();
+  EXPECT_EQ(log.stats().live_bytes, 0u);
+  EXPECT_EQ(log.stats().live_bytes, recount());
+}
+
 TEST(OpDescribe, HumanReadable) {
   OpRequest req;
   req.kind = OpKind::kRename;

@@ -301,13 +301,11 @@ INSTANTIATE_TEST_SUITE_P(
     FatalCraftKinds, ShadowReplayCraftTest,
     ::testing::Values(
         ShadowReplayCraftCase{CraftKind::kBadDirentNameLen, true},
-        // Known gap, pinned here so a fix has to flip it: open-time image
-        // validation checks bitmaps and inodes but never walks the tree,
-        // and the create does not resolve the damaged entry, so the
-        // shadow accepts these two images (shadow_fsck refuses both).
-        ShadowReplayCraftCase{CraftKind::kDanglingDirent, false},
+        // The create never resolves the damaged entry in these two; the
+        // open-time tree walk refuses them anyway.
+        ShadowReplayCraftCase{CraftKind::kDanglingDirent, true},
         ShadowReplayCraftCase{CraftKind::kWildInodePointer, true},
-        ShadowReplayCraftCase{CraftKind::kDirCycleLink, false}),
+        ShadowReplayCraftCase{CraftKind::kDirCycleLink, true}),
     [](const ::testing::TestParamInfo<ShadowReplayCraftCase>& info) {
       std::string name = to_string(info.param.kind);
       for (char& c : name) {
