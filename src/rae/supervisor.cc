@@ -144,7 +144,11 @@ Result<ShadowOutcome> RaeSupervisor::scrub(bool deep) {
   // consistent moment. Shallow scrubs are short; deep scrubs block
   // operations for the duration -- a maintenance trade-off.
   obs::OpScope op;
-  std::lock_guard<std::mutex> lk(mu_);
+  std::unique_lock<std::mutex> lk(mu_);
+  op_done_cv_.wait(lk, [&] {
+    return ops_queued_.load() == 0 || ops_done_ != ops_done_at_scrub_;
+  });
+  ops_done_at_scrub_ = ops_done_;
   if (offline_ || shutdown_) return Errno::kIo;
   auto* capable = dynamic_cast<SnapshotCapable*>(dev_);
   if (capable == nullptr || (deep && host_->local() == nullptr)) {
@@ -522,7 +526,17 @@ Result<OpOutcome> RaeSupervisor::run_op(OpRequest req) {
   // workloads); under a Vfs the scope inherits the id minted above, so
   // one application call stays one operation.
   obs::OpScope op;
+  ++ops_queued_;
   std::lock_guard<std::mutex> lk(mu_);
+  --ops_queued_;
+  // Runs before lk unlocks, on every return path.
+  struct DoneSignal {
+    RaeSupervisor* sup;
+    ~DoneSignal() {
+      ++sup->ops_done_;
+      sup->op_done_cv_.notify_all();
+    }
+  } done{this};
   if (offline_ || shutdown_) return Errno::kIo;
   const OpKind kind = req.kind;
   // Mutations and syncs are recorded; reads widen no app/disk gap.

@@ -25,6 +25,9 @@
 // for multi-threaded common-case numbers (bench_common_case).
 #pragma once
 
+#include <atomic>
+#include <condition_variable>
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -186,7 +189,9 @@ class RaeSupervisor final : public OpFacade {
   /// the live base -- the only detector for silent data corruption,
   /// which metadata validation, fsck and outcome cross-checks all miss.
   /// Requires a SnapshotCapable device; kNotSup otherwise, and for `deep`
-  /// on the forked base host. Operations are blocked for the duration.
+  /// on the forked base host. Operations are blocked for the duration;
+  /// when operations are queued, a scrub first waits for one of them to
+  /// finish, so back-to-back scrubs cannot starve client traffic.
   Result<ShadowOutcome> scrub(bool deep = false);
 
   // --- introspection ------------------------------------------------------
@@ -227,6 +232,13 @@ class RaeSupervisor final : public OpFacade {
   Geometry geo_;
 
   std::mutex mu_;  // serializes all operations and recovery
+  // std::mutex is not fair: a thread that scrubs in a loop re-takes mu_
+  // before a woken op can. Ops count themselves while queued on mu_ and
+  // signal when done; scrub() lets one queued op through per scrub.
+  std::atomic<uint32_t> ops_queued_{0};
+  uint64_t ops_done_ = 0;           // guarded by mu_
+  uint64_t ops_done_at_scrub_ = 0;  // guarded by mu_
+  std::condition_variable op_done_cv_;
   std::unique_ptr<BaseHost> host_;
   OpLog oplog_;
   RaeStats stats_;
