@@ -3,11 +3,19 @@
 // Everything the paper's shadow deliberately omits is here: a sharded
 // write-back block cache, an inode cache, a dentry cache with negative
 // entries, fine-grained locking (shared namespace lock + per-inode locks),
-// a write-ahead metadata journal, and an asynchronous block layer for
-// write-back. It is also where bugs live: BugRegistry injection sites are
-// wired through every code path, organic invariant traps panic like a
-// kernel BUG(), and a validate-on-sync hook detects silent corruption
-// before it persists (paper §3.1).
+// a write-ahead metadata journal, and an asynchronous block layer that
+// keeps write-back and cache-miss reads in flight together. It is also
+// where bugs live: BugRegistry injection sites are wired through every
+// code path, organic invariant traps panic like a kernel BUG(), and a
+// validate-on-sync hook detects silent corruption before it persists
+// (paper §3.1).
+//
+// Data path and queue depth: a read maps its whole range once and fetches
+// every uncached block of it in one concurrent batch (BlockCache::
+// read_many); a write that covers a whole block replaces it in the cache
+// without reading the old contents; commit write-back, journal payload and
+// checkpoint writes go to the async layer one request per block, so up to
+// `async_workers` of them are on the device at once.
 //
 // Concurrency model:
 //   - op_gate_ (shared_mutex): every op holds it shared; the commit
@@ -79,7 +87,10 @@ struct BaseFsOptions {
   size_t block_cache_blocks = 1024;
   size_t dentry_cache_entries = 4096;
   int cache_shards = 8;
-  int async_workers = 2;
+  /// Worker threads of the asynchronous block layer: the most write-back,
+  /// journal and cache-miss reads the base keeps in flight at once (the
+  /// queue depth it offers the device). 8 matches resolve_workers' clamp.
+  int async_workers = 8;
   bool use_dentry_cache = true;
   bool use_inode_cache = true;
   /// Detection enhancement (paper §3.1): structurally validate all dirty
@@ -323,13 +334,13 @@ class BaseFs {
   Status checkpoint_core_();
   Status validate_dirty_locked(
       const std::vector<std::pair<BlockNo, BlockBufPtr>>& dirty);
-  /// Submit `blocks` to the async layer as coalesced contiguous-run
-  /// writes; `on_each` fires once per run completion.
-  void submit_writeback_runs(std::vector<std::pair<BlockNo, BlockBufPtr>> blocks,
-                             const std::function<void(Status)>& on_each);
-  /// submit_writeback_runs + drain (synchronous write-back).
-  Status writeback_coalesced(
-      const std::vector<std::pair<BlockNo, BlockBufPtr>>& blocks);
+  /// Submit `blocks` to the async layer in block order, one request per
+  /// block, so the workers keep them in flight together; `on_each` fires
+  /// once per block completion.
+  void submit_writeback(std::vector<std::pair<BlockNo, BlockBufPtr>> blocks,
+                        const std::function<void(Status)>& on_each);
+  /// submit_writeback + drain (synchronous write-back).
+  Status write_back(const std::vector<std::pair<BlockNo, BlockBufPtr>>& blocks);
   Status write_superblock(FsState state);
 
   bool is_meta_block(BlockNo b) const;

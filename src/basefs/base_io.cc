@@ -460,29 +460,31 @@ Result<std::vector<uint8_t>> BaseFs::read(Ino ino, uint64_t gen, FileOff off,
   std::vector<uint8_t> out(len);
   if (len == 0) return out;
 
-  // One mapping walk for the whole request, then per-extent copies.
+  // One mapping walk for the whole request, one cache batch for every
+  // mapped block (its misses read from the device concurrently), then the
+  // copy out.
   uint64_t first_fb = off / kBlockSize;
   uint64_t last_fb = (off + len - 1) / kBlockSize;
   RAEFS_TRY(auto extents, map_range(ino, node, first_fb, last_fb - first_fb + 1));
+  std::vector<BlockNo> mapped;
+  for (const Extent& e : extents) {
+    if (e.disk_block == 0) continue;
+    for (uint64_t i = 0; i < e.len; ++i) mapped.push_back(e.disk_block + i);
+  }
+  RAEFS_TRY(auto blocks, block_cache_.read_many(mapped, async_));
 
+  size_t next = 0;  // index into blocks
   uint64_t done = 0;
   for (const Extent& e : extents) {
-    if (done >= len) break;
-    if (e.disk_block == 0) {
-      // Hole: the extent reads as zeros up to its end (or the request end).
-      uint64_t ext_end = (e.file_block + e.len) * kBlockSize;
-      uint64_t chunk = std::min<uint64_t>(len - done, ext_end - (off + done));
-      std::memset(out.data() + done, 0, chunk);
-      done += chunk;
-      continue;
-    }
     for (uint64_t i = 0; i < e.len && done < len; ++i) {
       uint64_t pos = off + done;
       uint32_t in_block = static_cast<uint32_t>(pos % kBlockSize);
       uint64_t chunk = std::min<uint64_t>(len - done, kBlockSize - in_block);
-      uint64_t idx = pos / kBlockSize - e.file_block;
-      RAEFS_TRY(auto data, block_cache_.read(e.disk_block + idx));
-      std::memcpy(out.data() + done, data.data() + in_block, chunk);
+      if (e.disk_block == 0) {
+        std::memset(out.data() + done, 0, chunk);  // hole reads as zeros
+      } else {
+        std::memcpy(out.data() + done, blocks[next++].data() + in_block, chunk);
+      }
       done += chunk;
     }
   }
@@ -551,9 +553,15 @@ Result<uint64_t> BaseFs::write(Ino ino, uint64_t gen, FileOff off,
       }
       target = mapped.value();
     }
-    Status st = block_cache_.modify(target, [&](std::span<uint8_t> blk) {
-      std::memcpy(blk.data() + in_block, data.data() + done, chunk);
-    });
+    // A whole block is replaced without reading it; a partial one is
+    // read, modified and written.
+    Status st =
+        chunk == kBlockSize
+            ? block_cache_.write(target, {data.begin() + done,
+                                          data.begin() + done + chunk})
+            : block_cache_.modify(target, [&](std::span<uint8_t> blk) {
+                std::memcpy(blk.data() + in_block, data.data() + done, chunk);
+              });
     if (!st.ok()) {
       failure = st.error();
       break;

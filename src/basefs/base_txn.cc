@@ -283,7 +283,7 @@ Status BaseFs::commit_cycle_once_(std::unique_lock<std::mutex>& lk) {
   if (!data.empty()) {
     ctx->data_abort = std::make_shared<std::atomic<bool>>(false);
     auto flag = ctx->data_abort;
-    submit_writeback_runs(std::move(data), [flag](Status wst) {
+    submit_writeback(std::move(data), [flag](Status wst) {
       if (!wst.ok()) flag->store(true, std::memory_order_release);
     });
   }
@@ -513,7 +513,8 @@ Status BaseFs::checkpoint_core_() {
   // location before that epoch commits. Reading them back (instead of
   // retaining cache handles across epochs) keeps the steady-state commit
   // path free of copy-on-write clones.
-  RAEFS_TRY(auto records, journal_.committed_records());
+  RAEFS_TRY(auto records, journal_.committed_records(
+                              static_cast<uint32_t>(opts_.async_workers)));
   uint64_t durable = 0;
   std::vector<std::pair<BlockNo, BlockBufPtr>> blocks;
   std::vector<BlockNo> keys;
@@ -533,7 +534,7 @@ Status BaseFs::checkpoint_core_() {
     }
     durable = epoch_durable_;
   }
-  RAEFS_TRY_VOID(writeback_coalesced(blocks));
+  RAEFS_TRY_VOID(write_back(blocks));
   RAEFS_TRY_VOID(dev_->flush());
   RAEFS_TRY_VOID(journal_.checkpoint());
   {
@@ -549,34 +550,24 @@ Status BaseFs::checkpoint_core_() {
   return Status::Ok();
 }
 
-void BaseFs::submit_writeback_runs(
+void BaseFs::submit_writeback(
     std::vector<std::pair<BlockNo, BlockBufPtr>> blocks,
     const std::function<void(Status)>& on_each) {
   obs::TraceSpan span(obs::kSpanBlockdevWriteback, clock_.get());
-  // Sort by block number, group contiguous runs, and hand each run to the
-  // async layer as one submission. Payloads are shared, never copied.
+  // One request per block, in block order (a single worker then writes in
+  // a deterministic order); payloads are shared, never copied.
   std::sort(blocks.begin(), blocks.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
-  size_t i = 0;
-  while (i < blocks.size()) {
-    BlockNo first = blocks[i].first;
-    std::vector<BlockBufPtr> run;
-    run.push_back(blocks[i].second);
-    size_t j = i + 1;
-    while (j < blocks.size() && blocks[j].first == first + run.size()) {
-      run.push_back(blocks[j].second);
-      ++j;
-    }
-    async_.submit_writev(first, std::move(run), on_each);
-    i = j;
+  for (auto& [block, buf] : blocks) {
+    async_.submit_write(block, std::move(buf), on_each);
   }
 }
 
-Status BaseFs::writeback_coalesced(
+Status BaseFs::write_back(
     const std::vector<std::pair<BlockNo, BlockBufPtr>>& blocks) {
   if (blocks.empty()) return Status::Ok();
   auto failed = std::make_shared<std::atomic<bool>>(false);
-  submit_writeback_runs(blocks, [failed](Status st) {
+  submit_writeback(blocks, [failed](Status st) {
     if (!st.ok()) failed->store(true, std::memory_order_relaxed);
   });
   async_.drain();

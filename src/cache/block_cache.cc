@@ -20,6 +20,11 @@ Result<BlockCache::Entry*> BlockCache::load_locked(Shard& s, BlockNo block) {
   misses_.fetch_add(1, std::memory_order_relaxed);
   auto data = std::make_shared<BlockBuf>(dev_->block_size());
   RAEFS_TRY_VOID(dev_->read_block(block, *data));
+  return &insert_clean_locked(s, block, std::move(data));
+}
+
+BlockCache::Entry& BlockCache::insert_clean_locked(
+    Shard& s, BlockNo block, std::shared_ptr<BlockBuf> data) {
   evict_locked(s);
   s.lru.push_front(block);
   s.clean_lru.push_front(block);
@@ -27,9 +32,7 @@ Result<BlockCache::Entry*> BlockCache::load_locked(Shard& s, BlockNo block) {
   e.data = std::move(data);
   e.lru_pos = s.lru.begin();
   e.clean_pos = s.clean_lru.begin();
-  auto [pos, inserted] = s.map.emplace(block, std::move(e));
-  (void)inserted;
-  return &pos->second;
+  return s.map.emplace(block, std::move(e)).first->second;
 }
 
 void BlockCache::touch_locked(Shard& s, BlockNo block, Entry& e) {
@@ -83,6 +86,63 @@ Result<BlockRef> BlockCache::read(BlockNo block) {
   std::lock_guard<std::mutex> lk(s.mu);
   RAEFS_TRY(Entry * e, load_locked(s, block));
   return BlockRef(BlockBufPtr(e->data));
+}
+
+Result<std::vector<BlockRef>> BlockCache::read_many(
+    std::span<const BlockNo> blocks, AsyncBlockDevice& io) {
+  std::vector<BlockRef> out(blocks.size());
+  std::vector<size_t> missing;
+  std::vector<uint64_t> seen;  // shard version when the miss was seen
+  for (size_t i = 0; i < blocks.size(); ++i) {
+    Shard& s = shard_of(blocks[i]);
+    std::lock_guard<std::mutex> lk(s.mu);
+    auto it = s.map.find(blocks[i]);
+    if (it != s.map.end()) {
+      hits_.fetch_add(1, std::memory_order_relaxed);
+      touch_locked(s, blocks[i], it->second);
+      out[i] = BlockRef(BlockBufPtr(it->second.data));
+      continue;
+    }
+    misses_.fetch_add(1, std::memory_order_relaxed);
+    missing.push_back(i);
+    seen.push_back(s.version);
+  }
+  if (missing.empty()) return out;
+
+  std::vector<BlockNo> want;
+  want.reserve(missing.size());
+  for (size_t i : missing) want.push_back(blocks[i]);
+  RAEFS_TRY(auto fetched, io.read_batch(want));
+
+  // Touch and insert in request order, hits again included, so the LRU
+  // order ends up as if the blocks had been read one at a time.
+  size_t k = 0;
+  for (size_t i = 0; i < blocks.size(); ++i) {
+    const BlockNo block = blocks[i];
+    Shard& s = shard_of(block);
+    std::lock_guard<std::mutex> lk(s.mu);
+    auto it = s.map.find(block);
+    if (k == missing.size() || missing[k] != i) {
+      if (it != s.map.end()) touch_locked(s, block, it->second);
+      continue;
+    }
+    Entry* e = nullptr;
+    if (it != s.map.end()) {
+      e = &it->second;  // filled or written meanwhile: the cache wins
+      touch_locked(s, block, *e);
+    } else if (s.version == seen[k]) {
+      e = &insert_clean_locked(
+          s, block, std::make_shared<BlockBuf>(std::move(fetched[k])));
+    } else {
+      // The shard changed while the read was in flight, so the bytes may
+      // predate a write that has since been written back and evicted.
+      // Read again, under the lock.
+      RAEFS_TRY(e, load_locked(s, block));
+    }
+    out[i] = BlockRef(BlockBufPtr(e->data));
+    ++k;
+  }
+  return out;
 }
 
 Status BlockCache::write(BlockNo block, std::vector<uint8_t> data) {
@@ -157,6 +217,7 @@ void BlockCache::mark_clean_upto(std::span<const BlockNo> blocks,
     std::lock_guard<std::mutex> lk(s.mu);
     auto it = s.map.find(block);
     if (it != s.map.end() && it->second.dirty && it->second.epoch <= upto) {
+      ++s.version;
       it->second.dirty = false;
       --s.dirty_count;
       s.dirty_list.erase(it->second.dirty_pos);
@@ -177,6 +238,7 @@ void BlockCache::install_clean(
       Entry& e = it->second;
       e.data = std::make_shared<BlockBuf>(*buf);
       if (e.dirty) {
+        ++s.version;
         e.dirty = false;
         --s.dirty_count;
         s.dirty_list.erase(e.dirty_pos);
@@ -186,14 +248,7 @@ void BlockCache::install_clean(
       touch_locked(s, block, e);
       continue;
     }
-    evict_locked(s);
-    s.lru.push_front(block);
-    s.clean_lru.push_front(block);
-    Entry e;
-    e.data = std::make_shared<BlockBuf>(*buf);
-    e.lru_pos = s.lru.begin();
-    e.clean_pos = s.clean_lru.begin();
-    s.map.emplace(block, std::move(e));
+    insert_clean_locked(s, block, std::make_shared<BlockBuf>(*buf));
   }
 }
 
@@ -205,12 +260,14 @@ void BlockCache::drop_all() {
     s.clean_lru.clear();
     s.dirty_list.clear();
     s.dirty_count = 0;
+    ++s.version;
   }
 }
 
 void BlockCache::drop(BlockNo block) {
   Shard& s = shard_of(block);
   std::lock_guard<std::mutex> lk(s.mu);
+  ++s.version;
   auto it = s.map.find(block);
   if (it != s.map.end()) {
     s.lru.erase(it->second.lru_pos);

@@ -27,6 +27,15 @@
 // epoch -- a block modified after its snapshot was taken stays dirty and
 // is picked up by the next commit. Dirty entries additionally live on a
 // per-shard dirty list so snapshots walk O(dirty), not O(cached).
+//
+// Misses: read() and modify() load a missing block under its shard lock,
+// one device read at a time. read_many() is the batched form the base's
+// data path uses: it fetches every missing block of a request at once
+// through AsyncBlockDevice::read_batch, outside the shard locks, and then
+// inserts each fetched block only if it is still absent -- an entry that
+// appeared meanwhile (a writer's dirty block, another reader's fill) wins
+// over the bytes just read. Every fetched block counts as a miss; a
+// whole-block write() is not a lookup and counts as neither hit nor miss.
 #pragma once
 
 #include <atomic>
@@ -37,6 +46,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "blockdev/async_device.h"
 #include "blockdev/block_device.h"
 #include "common/result.h"
 
@@ -77,7 +87,15 @@ class BlockCache {
   /// (possibly dirty) contents. Hits copy no payload bytes.
   Result<BlockRef> read(BlockNo block);
 
-  /// Replace the cached contents and mark dirty. No device IO.
+  /// read() for several blocks: hits are served from the cache, and all
+  /// misses are fetched concurrently through `io` with no shard lock held
+  /// (see the header note). Handles come back in the order of `blocks`.
+  Result<std::vector<BlockRef>> read_many(std::span<const BlockNo> blocks,
+                                          AsyncBlockDevice& io);
+
+  /// Replace the cached contents and mark dirty. No device IO, even when
+  /// the block is not cached: a whole-block overwrite never reads the old
+  /// contents.
   Status write(BlockNo block, std::vector<uint8_t> data);
 
   /// Read-modify-write under the shard lock: loads the block if needed,
@@ -162,6 +180,12 @@ class BlockCache {
     std::list<BlockNo> clean_lru;  // clean entries only; front = most recent
     std::list<BlockNo> dirty_list; // dirty entries only (snapshot walks)
     size_t dirty_count = 0;
+    // Bumped when a dirty entry turns clean and when an entry is dropped.
+    // A write to a block that read_many is fetching without the lock can
+    // leave the shard again only that way (only clean entries are
+    // evicted), so read_many inserts a fetched block only if this did not
+    // move meanwhile; an insertion or an eviction does not move it.
+    uint64_t version = 0;
   };
 
   Shard& shard_of(BlockNo block) {
@@ -173,6 +197,9 @@ class BlockCache {
 
   // Must hold s.mu. Loads block into the shard if absent.
   Result<Entry*> load_locked(Shard& s, BlockNo block);
+  // Must hold s.mu; block absent. Inserts `data` as a clean entry.
+  Entry& insert_clean_locked(Shard& s, BlockNo block,
+                             std::shared_ptr<BlockBuf> data);
   void touch_locked(Shard& s, BlockNo block, Entry& e);
   void evict_locked(Shard& s);
   // Must hold s.mu. Retag with the open epoch; transition clean entries

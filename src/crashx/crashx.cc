@@ -20,9 +20,11 @@ namespace {
 
 BaseFsOptions base_opts() {
   BaseFsOptions o;
-  // One writeback worker: writeback_coalesced sorts the block list, so a
-  // single worker makes the device write order a pure function of the
-  // workload -- the property that lets a write index name a crash point.
+  // One block-layer worker: write-back is submitted in block order and a
+  // batched read runs in order on the caller, so a single worker makes the
+  // device IO order a pure function of the workload -- the property that
+  // lets a write or read index name a crash point. With more workers the
+  // per-block requests complete in whatever order the threads run.
   o.async_workers = 1;
   return o;
 }

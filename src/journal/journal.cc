@@ -336,6 +336,73 @@ Result<std::vector<ScannedTxn>> scan_committed(BlockDevice* dev,
   return txns;
 }
 
+/// Serves reads of the journal region's first `region.size() / kBlockSize`
+/// blocks from a buffer prefetched in parallel; everything else passes
+/// through. The scan itself is inherently sequential (each descriptor
+/// tells it where the next one starts), so on a device with real access
+/// latency the scan's one-block-at-a-time reads would dominate replay and
+/// the checkpointer's re-read; prefetching the region with a worker pool
+/// overlaps those waits, and the scan then runs against memory.
+class JournalRegionCache final : public BlockDevice {
+ public:
+  JournalRegionCache(BlockDevice* inner, const Geometry& geo,
+                     std::vector<uint8_t> region)
+      : inner_(inner), geo_(geo), region_(std::move(region)) {}
+
+  uint32_t block_size() const override { return inner_->block_size(); }
+  uint64_t block_count() const override { return inner_->block_count(); }
+
+  Status read_block(BlockNo block, std::span<uint8_t> out) override {
+    if (block >= geo_.journal_start &&
+        block < geo_.journal_start + region_.size() / kBlockSize) {
+      if (out.size() != kBlockSize) return Errno::kInval;
+      std::memcpy(out.data(),
+                  region_.data() + (block - geo_.journal_start) * kBlockSize,
+                  kBlockSize);
+      return Status::Ok();
+    }
+    return inner_->read_block(block, out);
+  }
+  Status write_block(BlockNo block, std::span<const uint8_t> data) override {
+    return inner_->write_block(block, data);
+  }
+  Status flush() override { return inner_->flush(); }
+  const DeviceStats& stats() const override { return inner_->stats(); }
+
+ private:
+  BlockDevice* inner_;
+  Geometry geo_;
+  std::vector<uint8_t> region_;
+};
+
+/// Read the journal region's first `nblocks` blocks with up to `workers`
+/// threads.
+Result<std::vector<uint8_t>> prefetch_journal_region(BlockDevice* dev,
+                                                     const Geometry& geo,
+                                                     uint64_t nblocks,
+                                                     uint32_t workers) {
+  std::vector<uint8_t> region(nblocks * kBlockSize);
+  uint64_t nchunks = std::min<uint64_t>(std::max<uint32_t>(workers, 1), nblocks);
+  std::vector<Status> errors(nchunks, Status::Ok());
+  WorkerPool pool(static_cast<uint32_t>(nchunks));
+  pool.run(nchunks, [&](uint64_t c) {
+    uint64_t begin = nblocks * c / nchunks;
+    uint64_t end = nblocks * (c + 1) / nchunks;
+    for (uint64_t i = begin; i < end; ++i) {
+      std::span<uint8_t> out(region.data() + i * kBlockSize, kBlockSize);
+      Status st = dev->read_block(geo.journal_start + i, out);
+      if (!st.ok()) {
+        errors[c] = st;
+        return;
+      }
+    }
+  });
+  for (const Status& st : errors) {
+    if (!st.ok()) return st.error();
+  }
+  return region;
+}
+
 }  // namespace
 
 Journal::Journal(BlockDevice* dev, const Geometry& geo)
@@ -545,22 +612,23 @@ Result<uint64_t> Journal::commit_async(
     staged_.push_back(txn);
     async_ = async;
   }
-  // Descriptor + payload go out as one coalesced extent write; callers
-  // serialize commit_async calls (single committer), so staging order is
-  // submission order. The flush barrier behind them proves the payload
-  // durable before the commit record may exist (write-ahead rule).
+  // Descriptor + payload go out as one request per block, in flight
+  // together; callers serialize commit_async calls (single committer), so
+  // staging order is submission order. The flush barrier behind them
+  // proves the payload durable before the commit record may exist
+  // (write-ahead rule).
   Descriptor d;
   d.seq = txn->seq;
   for (const auto& r : records) d.targets.push_back(r.target);
   d.revoked = revoked;
-  std::vector<BlockBufPtr> bufs;
-  bufs.reserve(records.size() + 1);
-  bufs.push_back(std::make_shared<const BlockBuf>(encode_descriptor(d)));
-  for (const auto& r : records) bufs.push_back(r.data);
   StagedPtr t = txn;
-  async->submit_writev(txn->start, std::move(bufs), [this, t](Status st) {
+  auto on_write = [this, t](Status st) {
     if (!st.ok()) note_write_error_(t, st);
-  });
+  };
+  async->submit_write(txn->start, encode_descriptor(d), on_write);
+  for (size_t i = 0; i < records.size(); ++i) {
+    async->submit_write(txn->start + 1 + i, records[i].data, on_write);
+  }
   async->submit_flush([this, t](Status st) { on_payload_barrier_(t, st); });
   return txn->seq;
 }
@@ -711,7 +779,8 @@ size_t Journal::staged_txns() const {
   return staged_.size();
 }
 
-Result<std::vector<JournalRecord>> Journal::committed_records() const {
+Result<std::vector<JournalRecord>> Journal::committed_records(
+    uint32_t workers) const {
   BlockNo log_end = 0;
   {
     std::lock_guard<std::mutex> lk(mu_);
@@ -722,10 +791,16 @@ Result<std::vector<JournalRecord>> Journal::committed_records() const {
     // alternative full-region tail audit costs tens of microseconds per
     // journal block for bytes that are stale by construction.
     log_end = durable_cursor_;
+    if (log_end <= geo_.journal_start) return Errno::kInval;  // not open
   }
-  RAEFS_TRY(auto txns, scan_committed(dev_, geo_, log_end));
+  // Fetch the whole live log [journal_start, log_end) at once, then scan
+  // it in memory.
+  RAEFS_TRY(auto region, prefetch_journal_region(
+                             dev_, geo_, log_end - geo_.journal_start, workers));
+  JournalRegionCache cached(dev_, geo_, std::move(region));
+  RAEFS_TRY(auto txns, scan_committed(&cached, geo_, log_end));
   const auto floor = revoke_floor(txns);
-  // Latest copy per target wins, so the caller's coalesced write-back
+  // Latest copy per target wins, so the caller's concurrent write-back
   // never writes the same block twice in unspecified order.
   std::unordered_map<BlockNo, size_t> index;
   std::vector<JournalRecord> out;
@@ -767,80 +842,13 @@ double Journal::fill_ratio() const {
   return static_cast<double>(used) / static_cast<double>(geo_.journal_blocks);
 }
 
-namespace {
-
-/// Serves reads inside the journal region from a buffer the replay
-/// workers prefetched in parallel; everything else passes through. The
-/// scan itself is inherently sequential (each descriptor tells it where
-/// the next one starts), so on a device with real access latency the
-/// scan's one-block-at-a-time reads would dominate replay; prefetching
-/// the whole region with the worker pool overlaps those waits, and the
-/// scan then runs against memory.
-class JournalRegionCache final : public BlockDevice {
- public:
-  JournalRegionCache(BlockDevice* inner, const Geometry& geo,
-                     std::vector<uint8_t> region)
-      : inner_(inner), geo_(geo), region_(std::move(region)) {}
-
-  uint32_t block_size() const override { return inner_->block_size(); }
-  uint64_t block_count() const override { return inner_->block_count(); }
-
-  Status read_block(BlockNo block, std::span<uint8_t> out) override {
-    if (block >= geo_.journal_start &&
-        block < geo_.journal_start + geo_.journal_blocks) {
-      if (out.size() != kBlockSize) return Errno::kInval;
-      std::memcpy(out.data(),
-                  region_.data() + (block - geo_.journal_start) * kBlockSize,
-                  kBlockSize);
-      return Status::Ok();
-    }
-    return inner_->read_block(block, out);
-  }
-  Status write_block(BlockNo block, std::span<const uint8_t> data) override {
-    return inner_->write_block(block, data);
-  }
-  Status flush() override { return inner_->flush(); }
-  const DeviceStats& stats() const override { return inner_->stats(); }
-
- private:
-  BlockDevice* inner_;
-  Geometry geo_;
-  std::vector<uint8_t> region_;
-};
-
-Result<std::vector<uint8_t>> prefetch_journal_region(BlockDevice* dev,
-                                                     const Geometry& geo,
-                                                     uint32_t workers) {
-  std::vector<uint8_t> region(geo.journal_blocks * kBlockSize);
-  uint64_t nchunks = std::min<uint64_t>(workers, geo.journal_blocks);
-  std::vector<Status> errors(nchunks, Status::Ok());
-  WorkerPool pool(workers);
-  pool.run(nchunks, [&](uint64_t c) {
-    uint64_t begin = geo.journal_blocks * c / nchunks;
-    uint64_t end = geo.journal_blocks * (c + 1) / nchunks;
-    for (uint64_t i = begin; i < end; ++i) {
-      std::span<uint8_t> out(region.data() + i * kBlockSize, kBlockSize);
-      Status st = dev->read_block(geo.journal_start + i, out);
-      if (!st.ok()) {
-        errors[c] = st;
-        return;
-      }
-    }
-  });
-  for (const Status& st : errors) {
-    if (!st.ok()) return st.error();
-  }
-  return region;
-}
-
-}  // namespace
-
 Result<ReplayResult> Journal::replay(BlockDevice* dev, const Geometry& geo,
                                      uint32_t workers) {
   std::optional<JournalRegionCache> scan_cache;
   BlockDevice* scan_dev = dev;
   if (workers > 1) {
-    RAEFS_TRY(auto region, prefetch_journal_region(dev, geo, workers));
+    RAEFS_TRY(auto region, prefetch_journal_region(dev, geo, geo.journal_blocks,
+                                                   workers));
     scan_cache.emplace(dev, geo, std::move(region));
     scan_dev = &*scan_cache;
   }

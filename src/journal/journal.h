@@ -151,7 +151,7 @@ class Journal {
   using CommitDoneCb = std::function<void(Status, uint64_t seq)>;
 
   /// Pipelined group commit. Reserves (seq, journal blocks) and submits
-  /// descriptor+payload as one coalesced writev through `async`, followed
+  /// descriptor+payload through `async`, one request per block, followed
   /// by a flush barrier. The commit record is submitted only once (a) the
   /// barrier completed, proving the payload durable first, (b) every
   /// earlier staged transaction is durable (commit records are strictly
@@ -201,8 +201,10 @@ class Journal {
   /// without retaining cache handles across epochs (which would force
   /// copy-on-write clones on every re-dirty). Requires an idle pipeline
   /// and a drained async queue (the region must be quiescent on device);
-  /// returns kInval otherwise.
-  Result<std::vector<JournalRecord>> committed_records() const;
+  /// returns kInval otherwise. The live part of the region is fetched
+  /// with up to `workers` concurrent reads before the scan.
+  Result<std::vector<JournalRecord>> committed_records(
+      uint32_t workers = 1) const;
 
   /// Declare all committed transactions checkpointed (their blocks have
   /// been written in place and flushed by the caller): raise the floor and

@@ -47,7 +47,6 @@ inline constexpr const char* kMJournalCommitLatencyNs =
 // --- metrics: block layer ---------------------------------------------------
 inline constexpr const char* kMBlockdevReads = "blockdev.reads";
 inline constexpr const char* kMBlockdevWrites = "blockdev.writes";
-inline constexpr const char* kMBlockdevWritevBatches = "blockdev.writev_batches";
 inline constexpr const char* kMBlockdevFlushes = "blockdev.flushes";
 inline constexpr const char* kMBlockdevInflight = "blockdev.inflight";  // gauge
 

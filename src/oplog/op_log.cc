@@ -2,7 +2,7 @@
 
 namespace raefs {
 
-Seq OpLog::append_started(OpRequest req) {
+const OpRecord& OpLog::append_started(OpRequest req) {
   std::lock_guard<std::mutex> lk(mu_);
   OpRecord rec;
   rec.seq = next_seq_++;
@@ -11,7 +11,7 @@ Seq OpLog::append_started(OpRequest req) {
   live_bytes_ += rec.req.footprint();
   records_.push_back(std::move(rec));
   ++appended_;
-  return records_.back().seq;
+  return records_.back();
 }
 
 void OpLog::complete(Seq seq, OpOutcome out) {
@@ -40,7 +40,7 @@ void OpLog::truncate_durable(Seq watermark) {
 
 std::vector<OpRecord> OpLog::snapshot() const {
   std::lock_guard<std::mutex> lk(mu_);
-  return records_;
+  return {records_.begin(), records_.end()};
 }
 
 void OpLog::clear() {

@@ -7,6 +7,7 @@
 // records are discarded -- the gap they described has closed.
 #pragma once
 
+#include <list>
 #include <mutex>
 #include <vector>
 
@@ -23,10 +24,14 @@ struct OpLogStats {
 
 class OpLog {
  public:
-  /// Record an operation as started (in-flight). Returns its sequence
-  /// number. In-flight records are what the shadow's autonomous mode
-  /// executes; completed ones go through constrained mode.
-  Seq append_started(OpRequest req);
+  /// Record an operation as started (in-flight) and return the logged
+  /// record; its `seq` is the op's sequence number. In-flight records are
+  /// what the shadow's autonomous mode executes; completed ones go through
+  /// constrained mode. The record stays where it is until it is completed
+  /// and then truncated, or the log is cleared: truncate_durable never
+  /// erases an in-flight record, so the caller may execute the op from the
+  /// logged request instead of keeping a copy of its own.
+  const OpRecord& append_started(OpRequest req);
 
   /// Record the outcome the application was shown.
   void complete(Seq seq, OpOutcome out);
@@ -48,7 +53,7 @@ class OpLog {
 
  private:
   mutable std::mutex mu_;
-  std::vector<OpRecord> records_;
+  std::list<OpRecord> records_;  // a list: appends never move a record
   Seq next_seq_ = 1;
   Seq watermark_ = 0;
   uint64_t appended_ = 0;

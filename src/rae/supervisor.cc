@@ -548,6 +548,10 @@ Result<OpOutcome> RaeSupervisor::run_op(OpRequest req) {
                          req.data.empty() ? req.len : req.data.size());
   };
   Seq seq = 0;
+  // The request the base executes: the caller's, or for a recorded op the
+  // log's own copy (the request is moved in, so its payload is not copied
+  // a second time; the log keeps an in-flight record in place).
+  const OpRequest* exec = &req;
   if (recorded) {
     if (clock_) {
       // Recording cost: allocate the record + copy the write payload. Tiny
@@ -556,10 +560,12 @@ Result<OpOutcome> RaeSupervisor::run_op(OpRequest req) {
       clock_->advance(100 + static_cast<Nanos>(req.data.size()) / 8);
     }
     note();
-    seq = oplog_.append_started(req);
+    const OpRecord& rec = oplog_.append_started(std::move(req));
+    seq = rec.seq;
+    exec = &rec.req;
   }
   try {
-    OpOutcome out = host_->apply(req, seq);
+    OpOutcome out = host_->apply(*exec, seq);
     if (recorded) {
       oplog_.complete(seq, out);
       if (op_is_sync(kind) && out.err == Errno::kOk) {
@@ -593,7 +599,7 @@ Result<OpOutcome> RaeSupervisor::run_op(OpRequest req) {
       // record so it executes the op autonomously -- the base never
       // re-runs the trigger (error avoidance for read-path bugs).
       note();
-      seq = oplog_.append_started(std::move(req));
+      seq = oplog_.append_started(std::move(req)).seq;
     }
     auto rec = recover(e.site(), seq);
     if (!rec.ok()) return Errno::kIo;

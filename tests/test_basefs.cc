@@ -2,6 +2,8 @@
 // concurrency smoke, bug-injection sites, free-space accounting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <thread>
 
 #include "faults/bug_library.h"
@@ -450,6 +452,119 @@ TEST_F(BaseFsTest, UnmountThenOpsFailGracefully) {
   ASSERT_TRUE(t.fs->create("/x", 0644).ok());
   ASSERT_TRUE(t.fs->unmount().ok());
   EXPECT_EQ(t.fs->unmount().error(), Errno::kInval);  // double unmount
+}
+
+// --- data path on a cold cache ------------------------------------------
+
+// A 32-block file, remounted so its data blocks are not cached. The
+// inode and the indirect block are warmed by a 1-byte read of the last
+// block, so the counters below see only the data blocks under test.
+struct ColdDataPathTest : ::testing::Test {
+  void SetUp() override {
+    t = make_test_fs();
+    auto created = t.fs->create("/f", 0644);
+    ASSERT_TRUE(created.ok());
+    ino = created.value();
+    model = pattern_bytes(32 * kBlockSize, 3);
+    ASSERT_EQ(t.fs->write(ino, 0, 0, model).value(), model.size());
+    ASSERT_TRUE(t.fs->unmount().ok());
+    t.fs.reset();
+    auto mounted = BaseFs::mount(t.device.get(), BaseFsOptions{}, t.clock);
+    ASSERT_TRUE(mounted.ok());
+    t.fs = std::move(mounted).value();
+    ASSERT_TRUE(t.fs->read(ino, 0, model.size() - 1, 1).ok());
+    mark();
+  }
+  void mark() {
+    reads0 = t.device->stats().reads.load();
+    hits0 = t.fs->stats().block_cache_hits;
+    misses0 = t.fs->stats().block_cache_misses;
+  }
+  uint64_t reads() const { return t.device->stats().reads.load() - reads0; }
+  uint64_t misses() const { return t.fs->stats().block_cache_misses - misses0; }
+  uint64_t hits() const { return t.fs->stats().block_cache_hits - hits0; }
+
+  testing_support::TestFs t;
+  Ino ino = kInvalidIno;
+  std::vector<uint8_t> model;
+  uint64_t reads0 = 0, hits0 = 0, misses0 = 0;
+};
+
+TEST_F(ColdDataPathTest, AlignedWholeBlockOverwriteReadsNothing) {
+  auto fresh = pattern_bytes(kBlockSize, 90);
+  ASSERT_EQ(t.fs->write(ino, 0, 3 * kBlockSize, fresh).value(), kBlockSize);
+  EXPECT_EQ(reads(), 0u);
+  EXPECT_EQ(misses(), 0u);  // a whole-block write is no lookup
+  EXPECT_EQ(hits(), 0u);
+  std::copy(fresh.begin(), fresh.end(), model.begin() + 3 * kBlockSize);
+  EXPECT_EQ(t.fs->read(ino, 0, 0, model.size()).value(), model);
+}
+
+TEST_F(ColdDataPathTest, PartialOverwriteReadsTheBlockOnce) {
+  auto fresh = pattern_bytes(100, 91);
+  const uint64_t off = 5 * kBlockSize + 7;
+  ASSERT_EQ(t.fs->write(ino, 0, off, fresh).value(), fresh.size());
+  EXPECT_EQ(reads(), 1u);
+  EXPECT_EQ(misses(), 1u);
+  std::copy(fresh.begin(), fresh.end(), model.begin() + off);
+  EXPECT_EQ(t.fs->read(ino, 0, 0, model.size()).value(), model);
+}
+
+TEST_F(ColdDataPathTest, ColdMultiBlockReadFetchesEveryBlockOnce) {
+  const uint64_t len = 16 * kBlockSize;  // 64 KiB: direct and indirect
+  auto got = t.fs->read(ino, 0, 0, len);
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(reads(), 16u);
+  EXPECT_EQ(misses(), 16u);
+  EXPECT_EQ(got.value(),
+            std::vector<uint8_t>(model.begin(), model.begin() + len));
+  // Now warm: the same read is all hits and no IO.
+  mark();
+  ASSERT_TRUE(t.fs->read(ino, 0, 0, len).ok());
+  EXPECT_EQ(reads(), 0u);
+  EXPECT_EQ(misses(), 0u);
+  EXPECT_GE(hits(), 16u);
+}
+
+TEST(BaseFsDataPath, ReadRacingAWriteSeesOneWholeVersion) {
+  // A cache far smaller than the file keeps reads missing while a writer
+  // rewrites the whole file and syncs; every read must return one
+  // version of the file, never a mix.
+  TestFsOptions opts;
+  opts.base.block_cache_blocks = 8;
+  auto t = make_test_fs(opts);
+  auto ino = t.fs->create("/f", 0644);
+  ASSERT_TRUE(ino.ok());
+  constexpr uint64_t kLen = 16 * kBlockSize;
+  auto version = [](int v) {
+    return std::vector<uint8_t>(kLen, static_cast<uint8_t>(v));
+  };
+  ASSERT_TRUE(t.fs->write(ino.value(), 0, 0, version(1)).ok());
+  ASSERT_TRUE(t.fs->sync().ok());
+
+  constexpr int kVersions = 60;
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    for (int v = 2; v <= kVersions; ++v) {
+      EXPECT_TRUE(t.fs->write(ino.value(), 0, 0, version(v)).ok());
+      EXPECT_TRUE(t.fs->sync().ok());
+    }
+    done = true;
+  });
+  int reads = 0;
+  while (!done.load() || reads == 0) {
+    auto got = t.fs->read(ino.value(), 0, 0, kLen);
+    ASSERT_TRUE(got.ok());
+    ASSERT_EQ(got.value().size(), kLen);
+    const uint8_t v = got.value()[0];
+    EXPECT_GE(v, 1);
+    EXPECT_LE(v, kVersions);
+    EXPECT_EQ(got.value(), version(v)) << "read mixed versions";
+    ++reads;
+  }
+  writer.join();
+  EXPECT_EQ(t.fs->read(ino.value(), 0, 0, kLen).value(), version(kVersions));
+  EXPECT_GT(t.fs->stats().block_cache_misses, 0u);
 }
 
 // --- bug-injection sites ----------------------------------------------

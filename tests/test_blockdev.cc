@@ -3,8 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstring>
+#include <mutex>
+#include <thread>
 
+#include "basefs/base_fs.h"
 #include "blockdev/async_device.h"
 #include "blockdev/fault_device.h"
 #include "blockdev/file_device.h"
@@ -479,6 +484,156 @@ TEST(AsyncDevice, ManyConcurrentRequests) {
   }
   async.drain();
   EXPECT_EQ(done.load(), 1024);
+}
+
+/// Holds every IO for `hold_us` and records how many writes were on the
+/// device at once; flushes can also be held at a gate.
+class PeakDevice final : public BlockDevice {
+ public:
+  PeakDevice(BlockDevice* inner, uint32_t hold_us)
+      : inner_(inner), hold_us_(hold_us) {}
+  uint32_t block_size() const override { return inner_->block_size(); }
+  uint64_t block_count() const override { return inner_->block_count(); }
+  Status read_block(BlockNo b, std::span<uint8_t> out) override {
+    std::this_thread::sleep_for(std::chrono::microseconds(hold_us_));
+    return inner_->read_block(b, out);
+  }
+  Status write_block(BlockNo b, std::span<const uint8_t> d) override {
+    const int now = writes_in_flight_.fetch_add(1) + 1;
+    int peak = peak_writes_.load();
+    while (now > peak && !peak_writes_.compare_exchange_weak(peak, now)) {
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(hold_us_));
+    writes_in_flight_.fetch_sub(1);
+    return inner_->write_block(b, d);
+  }
+  Status flush() override {
+    std::unique_lock<std::mutex> lk(mu_);
+    ++flushes_started_;
+    cv_.notify_all();
+    cv_.wait(lk, [&] { return !flush_gate_closed_; });
+    return inner_->flush();
+  }
+  const DeviceStats& stats() const override { return inner_->stats(); }
+
+  int peak_writes() const { return peak_writes_.load(); }
+  void close_flush_gate() {
+    std::lock_guard<std::mutex> lk(mu_);
+    flush_gate_closed_ = true;
+  }
+  void open_flush_gate() {
+    std::lock_guard<std::mutex> lk(mu_);
+    flush_gate_closed_ = false;
+    cv_.notify_all();
+  }
+  void wait_flush_started() {
+    std::unique_lock<std::mutex> lk(mu_);
+    cv_.wait(lk, [&] { return flushes_started_ > 0; });
+  }
+
+ private:
+  BlockDevice* inner_;
+  uint32_t hold_us_;
+  std::atomic<int> writes_in_flight_{0};
+  std::atomic<int> peak_writes_{0};
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool flush_gate_closed_ = false;
+  int flushes_started_ = 0;
+};
+
+const int kDefaultWorkers = BaseFsOptions{}.async_workers;
+
+TEST(AsyncDevice, FlushFencesEarlierWritesAndReadsAtDefaultWorkers) {
+  MemBlockDevice mem(128);
+  PeakDevice dev(&mem, 100);
+  AsyncBlockDevice async(&dev, kDefaultWorkers);
+  std::atomic<int> before{0};
+  std::atomic<bool> flushed{false};
+  std::atomic<int> after{0};
+  for (BlockNo b = 0; b < 32; ++b) {
+    async.submit_write(b, filled(7), [&](Status st) {
+      EXPECT_TRUE(st.ok());
+      EXPECT_FALSE(flushed.load());
+      ++before;
+    });
+  }
+  for (BlockNo b = 32; b < 48; ++b) {
+    async.submit_read(b, [&](Status st, std::vector<uint8_t>) {
+      EXPECT_TRUE(st.ok());
+      EXPECT_FALSE(flushed.load());
+      ++before;
+    });
+  }
+  async.submit_flush([&](Status st) {
+    EXPECT_TRUE(st.ok());
+    EXPECT_EQ(before.load(), 48);
+    flushed = true;
+  });
+  // Requests behind the barrier start only once it completed.
+  for (BlockNo b = 64; b < 80; ++b) {
+    async.submit_write(b, filled(9), [&](Status st) {
+      EXPECT_TRUE(st.ok());
+      EXPECT_TRUE(flushed.load());
+      ++after;
+    });
+  }
+  async.drain();
+  EXPECT_TRUE(flushed.load());
+  EXPECT_EQ(after.load(), 16);
+  EXPECT_EQ(mem.volatile_blocks(), 16u);  // only the post-barrier writes
+}
+
+TEST(AsyncDevice, BaseWriteBackOverlapsAtDefaultWorkers) {
+  // A 64-block file written back by one sync keeps several writes on the
+  // device at once.
+  MemBlockDevice mem(4096);
+  ASSERT_TRUE(BaseFs::mkfs(&mem, MkfsOptions{}).ok());
+  PeakDevice dev(&mem, 200);
+  auto fs = BaseFs::mount(&dev, BaseFsOptions{});
+  ASSERT_TRUE(fs.ok());
+  auto ino = fs.value()->create("/f", 0644);
+  ASSERT_TRUE(ino.ok());
+  std::vector<uint8_t> data(64 * kBlockSize, 0x3C);
+  ASSERT_EQ(fs.value()->write(ino.value(), 0, 0, data).value(), data.size());
+  ASSERT_TRUE(fs.value()->sync().ok());
+  EXPECT_GT(dev.peak_writes(), 1);
+  ASSERT_TRUE(fs.value()->unmount().ok());
+}
+
+TEST(AsyncDevice, ReadBatchDoesNotWaitBehindABarrier) {
+  MemBlockDevice mem(64);
+  for (BlockNo b = 0; b < 8; ++b) {
+    ASSERT_TRUE(mem.write_block(b, filled(static_cast<uint8_t>(b + 1))).ok());
+  }
+  PeakDevice dev(&mem, 0);
+  AsyncBlockDevice async(&dev, kDefaultWorkers);
+  dev.close_flush_gate();
+  async.submit_flush([](Status) {});
+  dev.wait_flush_started();
+  async.submit_write(20, filled(0x20), [](Status) {});  // queued behind it
+  const std::vector<BlockNo> want = {3, 1, 7, 0, 5};
+  auto got = async.read_batch(want);  // must not wait for the gate
+  ASSERT_TRUE(got.ok());
+  ASSERT_EQ(got.value().size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got.value()[i], filled(static_cast<uint8_t>(want[i] + 1)));
+  }
+  EXPECT_EQ(async.pending(), 2u);  // flush running, write still queued
+  dev.open_flush_gate();
+  async.drain();
+  EXPECT_EQ(async.pending(), 0u);
+}
+
+TEST(AsyncDevice, ReadBatchReportsAReadError) {
+  MemBlockDevice mem(16);
+  FaultBlockDevice dev(&mem);
+  AsyncBlockDevice async(&dev, kDefaultWorkers);
+  dev.arm_read_error_at(2);
+  const std::vector<BlockNo> want = {0, 1, 2, 3, 4, 5};
+  auto got = async.read_batch(want);
+  ASSERT_FALSE(got.ok());
+  EXPECT_EQ(got.error(), Errno::kIo);
 }
 
 TEST(FileDevice, RoundTripsThroughDisk) {

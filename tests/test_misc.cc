@@ -115,7 +115,7 @@ TEST(OpLog, SnapshotIsACopy) {
   OpRequest req;
   req.kind = OpKind::kCreate;
   req.path = "/x";
-  Seq seq = log.append_started(req);
+  Seq seq = log.append_started(req).seq;
   auto snap = log.snapshot();
   log.complete(seq, OpOutcome{Errno::kExist, 0, 0, {}});
   EXPECT_FALSE(snap[0].completed);  // earlier snapshot unaffected

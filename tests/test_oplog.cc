@@ -16,15 +16,15 @@ OpRequest make_req(OpKind kind, std::string path) {
 
 TEST(OpLog, AppendAssignsMonotonicSeqs) {
   OpLog log;
-  EXPECT_EQ(log.append_started(make_req(OpKind::kCreate, "/a")), 1u);
-  EXPECT_EQ(log.append_started(make_req(OpKind::kWrite, "")), 2u);
+  EXPECT_EQ(log.append_started(make_req(OpKind::kCreate, "/a")).seq, 1u);
+  EXPECT_EQ(log.append_started(make_req(OpKind::kWrite, "")).seq, 2u);
   EXPECT_EQ(log.last_seq(), 2u);
   EXPECT_EQ(log.snapshot().size(), 2u);
 }
 
 TEST(OpLog, CompleteRecordsOutcome) {
   OpLog log;
-  Seq seq = log.append_started(make_req(OpKind::kCreate, "/a"));
+  Seq seq = log.append_started(make_req(OpKind::kCreate, "/a")).seq;
   EXPECT_FALSE(log.snapshot()[0].completed);
 
   OpOutcome out;
@@ -38,9 +38,9 @@ TEST(OpLog, CompleteRecordsOutcome) {
 
 TEST(OpLog, TruncateDropsOnlyCompletedBelowWatermark) {
   OpLog log;
-  Seq s1 = log.append_started(make_req(OpKind::kCreate, "/a"));
-  Seq s2 = log.append_started(make_req(OpKind::kCreate, "/b"));
-  Seq s3 = log.append_started(make_req(OpKind::kCreate, "/c"));
+  Seq s1 = log.append_started(make_req(OpKind::kCreate, "/a")).seq;
+  Seq s2 = log.append_started(make_req(OpKind::kCreate, "/b")).seq;
+  Seq s3 = log.append_started(make_req(OpKind::kCreate, "/c")).seq;
   log.complete(s1, {});
   // s2 is in flight: even below the watermark it must be retained.
   log.complete(s3, {});
@@ -55,7 +55,7 @@ TEST(OpLog, TruncateDropsOnlyCompletedBelowWatermark) {
 
 TEST(OpLog, WatermarkNeverRegresses) {
   OpLog log;
-  Seq s1 = log.append_started(make_req(OpKind::kCreate, "/a"));
+  Seq s1 = log.append_started(make_req(OpKind::kCreate, "/a")).seq;
   log.complete(s1, {});
   log.truncate_durable(5);
   log.truncate_durable(2);  // ignored
@@ -67,7 +67,7 @@ TEST(OpLog, ClearEmptiesButKeepsSeqCounter) {
   log.append_started(make_req(OpKind::kCreate, "/a"));
   log.clear();
   EXPECT_TRUE(log.snapshot().empty());
-  EXPECT_EQ(log.append_started(make_req(OpKind::kCreate, "/b")), 2u);
+  EXPECT_EQ(log.append_started(make_req(OpKind::kCreate, "/b")).seq, 2u);
 }
 
 TEST(OpLog, StatsTrackFootprint) {
@@ -93,7 +93,7 @@ TEST(OpLog, LiveBytesEqualsSumOfFootprints) {
   for (int i = 0; i < 6; ++i) {
     OpRequest req = make_req(OpKind::kWrite, "/f" + std::to_string(i));
     req.data.assign(100 * (i + 1), 0x5A);
-    Seq seq = log.append_started(std::move(req));
+    Seq seq = log.append_started(std::move(req)).seq;
     if (i != 3) log.complete(seq, OpOutcome{});  // seq 4 stays in flight
     EXPECT_EQ(log.stats().live_bytes, recount()) << "after append " << i;
   }
