@@ -24,7 +24,6 @@
 #include "basefs/base_fs.h"
 #include "bench/bench_support.h"
 #include "blockdev/mem_device.h"
-#include "blockdev/qdepth_probe.h"
 #include "blockdev/timed_device.h"
 #include "format/layout.h"
 #include "fsck/fsck.h"
@@ -238,7 +237,8 @@ BENCHMARK(BM_FsckStrict)
 void BM_RecoveryPipeline(benchmark::State& state) {
   // The recovery tail end to end on a large dirty image: journal replay
   // -> sequential shadow replay of the op log -> install -> strict fsck,
-  // every parallel phase at the same worker count.
+  // every parallel phase at the same worker count (the supervisor runs
+  // them all at BaseFsOptions::async_workers).
   const auto& s = scenario();
   const auto& master = dirty_journal_image();
   Geometry geo = bench_geometry();
@@ -323,15 +323,15 @@ const DownloadScenario& download_scenario() {
 void BM_Download(benchmark::State& state) {
   // The download phase alone: BaseFs::install_blocks installs the
   // shadow's output through the journaled bulk path (one multi-chunk
-  // install transaction + parallel in-place apply + checkpoint) at the
-  // given worker count.
+  // install transaction + in-place apply + checkpoint) with the given
+  // BaseFsOptions::async_workers in flight.
   const auto& s = download_scenario();
   auto workers = static_cast<uint32_t>(state.range(0));
   for (auto _ : state) {
     auto dev = s.device->clone_full();  // excluded: manual timing below
     TimedBlockDevice timed(dev.get(), RealLatency{});
     BaseFsOptions opts;
-    opts.install_workers = workers;
+    opts.async_workers = static_cast<int>(workers);
     auto mounted = BaseFs::mount(&timed, opts);
     if (!mounted.ok()) {
       state.SkipWithError("mount failed");
@@ -353,61 +353,6 @@ BENCHMARK(BM_Download)
     ->Arg(2)
     ->Arg(4)
     ->Arg(8)
-    ->UseManualTime()
-    ->Unit(benchmark::kMillisecond);
-
-void BM_RecoveryPipelineAutotuned(benchmark::State& state) {
-  // The full pipeline with every worker knob on `0 = auto`, the way the
-  // supervisor resolves them: one queue-depth probe of the device, then
-  // every parallel phase at the probed count. The probe runs INSIDE the
-  // timed region -- it is part of the autotuned recovery's real cost.
-  const auto& s = scenario();
-  const auto& master = dirty_journal_image();
-  Geometry geo = bench_geometry();
-  uint32_t resolved = 0;
-  for (auto _ : state) {
-    auto dev = master.clone_full();  // excluded: manual timing below
-    TimedBlockDevice timed(dev.get(), RealLatency{});
-    clear_queue_depth_cache();  // fresh device instance every iteration
-    auto t0 = std::chrono::steady_clock::now();
-    uint32_t workers = resolve_workers(0, &timed);
-    resolved = workers;
-    if (!Journal::replay(&timed, geo, workers).ok()) {
-      state.SkipWithError("journal replay failed");
-    }
-    auto outcome = shadow_execute(&timed, s.log, {});
-    if (!outcome.ok) state.SkipWithError(outcome.failure.c_str());
-    {
-      const auto& dirty = outcome.dirty;
-      uint64_t nchunks = std::min<uint64_t>(workers, dirty.size());
-      std::atomic<bool> failed{false};
-      if (nchunks > 0) {
-        WorkerPool pool(workers);
-        pool.run(nchunks, [&](uint64_t c) {
-          size_t begin = dirty.size() * c / nchunks;
-          size_t end = dirty.size() * (c + 1) / nchunks;
-          for (size_t i = begin; i < end; ++i) {
-            if (!timed.write_block(dirty[i].block, dirty[i].data).ok()) {
-              failed = true;
-              return;
-            }
-          }
-        });
-      }
-      if (failed) state.SkipWithError("install failed");
-    }
-    if (!timed.flush().ok()) state.SkipWithError("flush failed");
-    FsckOptions fopts;
-    fopts.workers = workers;
-    auto report = fsck(&timed, fopts);
-    if (!report.ok() || !report.value().consistent()) {
-      state.SkipWithError("post-recovery fsck failed");
-    }
-    state.SetIterationTime(since(t0));
-  }
-  state.counters["autotuned_workers"] = static_cast<double>(resolved);
-}
-BENCHMARK(BM_RecoveryPipelineAutotuned)
     ->UseManualTime()
     ->Unit(benchmark::kMillisecond);
 

@@ -123,7 +123,9 @@ Result<std::unique_ptr<BaseFs>> BaseFs::mount(BlockDevice* dev,
   if (sb.state == FsState::kMounted) {
     // Unclean previous mount: crash recovery via journal replay.
     obs::TraceSpan rspan(obs::kSpanJournalReplay, clock.get());
-    RAEFS_TRY(ReplayResult rr, Journal::replay(dev, geo));
+    RAEFS_TRY(ReplayResult rr,
+              Journal::replay(dev, geo,
+                              static_cast<uint32_t>(opts.async_workers)));
     replays = rr.applied_txns;
     obs::flight().record(obs::Component::kJournal, "replay", "",
                          clock ? clock->now() : 0, rr.applied_txns,
@@ -214,6 +216,21 @@ Status BaseFs::unmount() {
   obs::flight().record(obs::Component::kBaseFs, "unmount", "clean",
                        clock_ ? clock_->now() : 0);
   return Status::Ok();
+}
+
+Status BaseFs::reboot_image(BlockDevice* dev, uint32_t workers) {
+  std::vector<uint8_t> sb_block(kBlockSize);
+  RAEFS_TRY_VOID(dev->read_block(0, sb_block));
+  RAEFS_TRY(Superblock sb, Superblock::decode(sb_block));
+  RAEFS_TRY(Geometry geo, sb.geometry());
+  RAEFS_TRY_VOID(Journal::replay(dev, geo, workers));
+  // The replay flushed the applied blocks and reset the journal, so the
+  // image is what a clean unmount leaves. A crash before this write
+  // leaves the old kMounted mark, and the next mount replays the now
+  // empty journal again.
+  sb.state = FsState::kClean;
+  RAEFS_TRY_VOID(dev->write_block(0, sb.encode()));
+  return dev->flush();
 }
 
 BaseFs::~BaseFs() {

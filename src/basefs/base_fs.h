@@ -87,9 +87,12 @@ struct BaseFsOptions {
   size_t block_cache_blocks = 1024;
   size_t dentry_cache_entries = 4096;
   int cache_shards = 8;
-  /// Worker threads of the asynchronous block layer: the most write-back,
-  /// journal and cache-miss reads the base keeps in flight at once (the
-  /// queue depth it offers the device). 8 matches resolve_workers' clamp.
+  /// The queue depth the base offers the device: the asynchronous block
+  /// layer's worker threads (write-back, journal and cache-miss reads in
+  /// flight at once), and the concurrent IOs of every recovery phase --
+  /// journal replay, the install transaction and its in-place apply, and
+  /// the post-recovery fsck. 1 gives the serial, deterministic order
+  /// crashx's indexed sweeps rely on.
   int async_workers = 8;
   bool use_dentry_cache = true;
   bool use_inode_cache = true;
@@ -102,10 +105,6 @@ struct BaseFsOptions {
   double checkpoint_fill_threshold = 0.5;
   /// Simulated CPU cost charged per operation.
   Nanos op_cpu_cost = 300;
-  /// Worker threads for the bulk install's parallel in-place apply
-  /// (install_blocks, the recovery download). 0 = auto: derive from the
-  /// device's probed effective queue depth (blockdev/qdepth_probe.h).
-  uint32_t install_workers = 1;
 };
 
 struct StatResult {
@@ -174,6 +173,13 @@ class BaseFs {
   /// unusable afterwards.
   Status unmount();
 
+  /// The contained reboot's on-disk half, with no mount: replay the
+  /// journal with up to `workers` concurrent IOs, then mark the superblock
+  /// clean, so the next mount neither replays nor audits the journal
+  /// again. Idempotent: a crash or IO error anywhere leaves an image this
+  /// call (or an unclean mount) brings to the same state.
+  static Status reboot_image(BlockDevice* dev, uint32_t workers);
+
   /// Destructor performs NO write-back: a destroyed-without-unmount BaseFs
   /// models a crashed/contained-rebooted instance whose in-memory state
   /// is discarded (paper: all base memory is untrusted after an error).
@@ -218,10 +224,10 @@ class BaseFs {
   /// shadow's output blocks. The bulk path journals the whole set as ONE
   /// multi-chunk install transaction (atomic under power cuts: replay
   /// yields either the pre-install or the fully-installed image), then
-  /// fans the in-place writes across a worker pool sized by
-  /// BaseFsOptions::install_workers and checkpoints. Falls back to the
-  /// legacy cache-dirty + commit path when the set does not fit the
-  /// journal region.
+  /// writes it in place through the asynchronous block layer
+  /// (BaseFsOptions::async_workers in flight) and checkpoints. Falls back
+  /// to the legacy cache-dirty + commit path when the set does not fit
+  /// the journal region.
   Status install_blocks(const std::vector<InstallBlock>& blocks);
 
   // --- Introspection ----------------------------------------------------
@@ -268,8 +274,13 @@ class BaseFs {
   };
 
   /// Map file block -> device block; allocates (and zeroes) missing blocks
-  /// when `alloc`. Returns 0 for unmapped holes when !alloc.
-  Result<BlockNo> map_block(DiskInode* inode, uint64_t file_block, bool alloc);
+  /// when `alloc`. Returns 0 for unmapped holes when !alloc. A data block
+  /// this call allocates starts as `seed` instead of zeros when `seed` is
+  /// given (exactly kBlockSize bytes: the caller's whole-block write), and
+  /// `*seeded` then reports whether it did. Pointer blocks start zeroed.
+  Result<BlockNo> map_block(DiskInode* inode, uint64_t file_block, bool alloc,
+                            std::span<const uint8_t> seed = {},
+                            bool* seeded = nullptr);
 
   /// Batched, non-allocating mapping walk: yields the extents covering
   /// [first_fb, first_fb + count) with ONE pass over the direct /

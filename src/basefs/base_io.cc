@@ -28,17 +28,22 @@ void write_ptr(std::span<uint8_t> block, uint32_t index, uint64_t v) {
 // ---------------------------------------------------------------------------
 
 Result<BlockNo> BaseFs::map_block(DiskInode* inode, uint64_t file_block,
-                                  bool alloc) {
+                                  bool alloc, std::span<const uint8_t> seed,
+                                  bool* seeded) {
   if (file_block >= kMaxFileBlocks) return Errno::kFBig;
 
-  auto alloc_zeroed = [&](BlockClass cls) -> Result<BlockNo> {
+  auto alloc_fresh = [&](BlockClass cls) -> Result<BlockNo> {
+    const bool use_seed = cls == BlockClass::kFileData && !seed.empty();
     RAEFS_TRY(BlockNo b, alloc_block());
-    Status st = block_cache_.write(b, std::vector<uint8_t>(kBlockSize, 0));
+    Status st = block_cache_.write(
+        b, use_seed ? std::vector<uint8_t>(seed.begin(), seed.end())
+                    : std::vector<uint8_t>(kBlockSize, 0));
     if (!st.ok()) {
       (void)free_block(b);
       return st.error();
     }
     note_meta_block(b, cls);
+    if (seeded != nullptr && use_seed) *seeded = true;
     return b;
   };
 
@@ -46,7 +51,7 @@ Result<BlockNo> BaseFs::map_block(DiskInode* inode, uint64_t file_block,
   if (file_block < kNumDirect) {
     BlockNo b = inode->direct[file_block];
     if (b == 0 && alloc) {
-      RAEFS_TRY(b, alloc_zeroed(BlockClass::kFileData));
+      RAEFS_TRY(b, alloc_fresh(BlockClass::kFileData));
       inode->direct[file_block] = b;
       note_mutation();
     }
@@ -63,7 +68,7 @@ Result<BlockNo> BaseFs::map_block(DiskInode* inode, uint64_t file_block,
     bool fresh_ind = false;
     if (inode->indirect == 0) {
       if (!alloc) return BlockNo{0};
-      RAEFS_TRY(BlockNo ib, alloc_zeroed(BlockClass::kIndirectMeta));
+      RAEFS_TRY(BlockNo ib, alloc_fresh(BlockClass::kIndirectMeta));
       inode->indirect = ib;
       fresh_ind = true;
       note_mutation();
@@ -82,7 +87,7 @@ Result<BlockNo> BaseFs::map_block(DiskInode* inode, uint64_t file_block,
     auto iblock = std::move(iread).value();
     BlockNo b = read_ptr(iblock, static_cast<uint32_t>(rel));
     if (b == 0 && alloc) {
-      auto fresh = alloc_zeroed(BlockClass::kFileData);
+      auto fresh = alloc_fresh(BlockClass::kFileData);
       if (!fresh.ok()) {
         unwind();
         return fresh.error();
@@ -130,7 +135,7 @@ Result<BlockNo> BaseFs::map_block(DiskInode* inode, uint64_t file_block,
   };
   if (inode->dindirect == 0) {
     if (!alloc) return BlockNo{0};
-    RAEFS_TRY(BlockNo db, alloc_zeroed(BlockClass::kIndirectMeta));
+    RAEFS_TRY(BlockNo db, alloc_fresh(BlockClass::kIndirectMeta));
     inode->dindirect = db;
     fresh_dind = true;
     note_mutation();
@@ -144,7 +149,7 @@ Result<BlockNo> BaseFs::map_block(DiskInode* inode, uint64_t file_block,
   l1_block = read_ptr(dblock, static_cast<uint32_t>(l1));
   if (l1_block == 0) {
     if (!alloc) return BlockNo{0};
-    auto fresh = alloc_zeroed(BlockClass::kIndirectMeta);
+    auto fresh = alloc_fresh(BlockClass::kIndirectMeta);
     if (!fresh.ok()) {
       unwind();
       return fresh.error();
@@ -172,7 +177,7 @@ Result<BlockNo> BaseFs::map_block(DiskInode* inode, uint64_t file_block,
   auto l1_data = std::move(l1read).value();
   BlockNo b = read_ptr(l1_data, static_cast<uint32_t>(l2));
   if (b == 0 && alloc) {
-    auto fresh = alloc_zeroed(BlockClass::kFileData);
+    auto fresh = alloc_fresh(BlockClass::kFileData);
     if (!fresh.ok()) {
       unwind();
       return fresh.error();
@@ -537,6 +542,7 @@ Result<uint64_t> BaseFs::write(Ino ino, uint64_t gen, FileOff off,
     bug_site("basefs.write.map_block", OpKind::kWrite, "", ino,
              fb * kBlockSize, chunk);
     BlockNo target = 0;
+    bool seeded = false;  // a fresh block already holds this whole chunk
     while (ei < extents.size() &&
            extents[ei].file_block + extents[ei].len <= fb) {
       ++ei;
@@ -546,7 +552,11 @@ Result<uint64_t> BaseFs::write(Ino ino, uint64_t gen, FileOff off,
       target = extents[ei].disk_block + (fb - extents[ei].file_block);
     }
     if (target == 0) {
-      auto mapped = map_block(&node, fb, /*alloc=*/true);
+      auto mapped = map_block(
+          &node, fb, /*alloc=*/true,
+          chunk == kBlockSize ? data.subspan(done, chunk)
+                              : std::span<const uint8_t>{},
+          &seeded);
       if (!mapped.ok()) {
         failure = mapped.error();
         break;
@@ -556,7 +566,8 @@ Result<uint64_t> BaseFs::write(Ino ino, uint64_t gen, FileOff off,
     // A whole block is replaced without reading it; a partial one is
     // read, modified and written.
     Status st =
-        chunk == kBlockSize
+        seeded ? Status::Ok()
+        : chunk == kBlockSize
             ? block_cache_.write(target, {data.begin() + done,
                                           data.begin() + done + chunk})
             : block_cache_.modify(target, [&](std::span<uint8_t> blk) {

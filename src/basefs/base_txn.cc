@@ -16,8 +16,6 @@
 #include <unordered_set>
 
 #include "basefs/base_fs.h"
-#include "blockdev/qdepth_probe.h"
-#include "common/worker_pool.h"
 #include "obs/flight_recorder.h"
 #include "obs/names.h"
 #include "obs/trace.h"
@@ -703,7 +701,7 @@ Status BaseFs::install_blocks(const std::vector<InstallBlock>& blocks) {
   // re-journaled blocks are never revoked (same rule as group commit).
   std::erase_if(carried, [&](BlockNo b) { return latest.count(b) > 0; });
 
-  const uint32_t workers = resolve_workers(opts_.install_workers, dev_);
+  const uint32_t workers = static_cast<uint32_t>(opts_.async_workers);
   Result<uint64_t> seq = journal_.commit_multi(records, carried, workers);
   if (!seq.ok()) {
     // The set does not fit the journal region (or the engine refused):
@@ -713,25 +711,17 @@ Status BaseFs::install_blocks(const std::vector<InstallBlock>& blocks) {
     return install_blocks_legacy_(blocks);
   }
 
-  // In-place apply, fanned across the device's usable queue depth.
+  // In-place apply through the async layer, one request per block.
+  std::vector<std::pair<BlockNo, BlockBufPtr>> cache_blocks;
+  cache_blocks.reserve(records.size());
+  for (const JournalRecord& r : records) {
+    cache_blocks.emplace_back(r.target, r.data);
+  }
   {
     obs::TraceSpan span(obs::kSpanBaseInstallApply, clock_.get());
-    const size_t n = uniq.size();
-    const size_t slices = std::min<size_t>(workers, n);
-    std::atomic<bool> failed{false};
-    WorkerPool pool(static_cast<uint32_t>(slices));
-    pool.run(slices, [&](uint64_t s) {
-      const size_t begin = s * n / slices;
-      const size_t end = (s + 1) * n / slices;
-      for (size_t i = begin; i < end; ++i) {
-        if (!dev_->write_block(uniq[i]->block, uniq[i]->data).ok()) {
-          failed.store(true, std::memory_order_relaxed);
-        }
-      }
-    });
     // The journal still holds the committed install transaction, so a
     // failed apply is recoverable: the supervisor's retry replays it.
-    if (failed.load()) return Errno::kIo;
+    RAEFS_TRY_VOID(write_back(cache_blocks));
   }
   RAEFS_TRY_VOID(dev_->flush());
   // Every record is in place and durable: retire the install transaction.
@@ -739,11 +729,6 @@ Status BaseFs::install_blocks(const std::vector<InstallBlock>& blocks) {
 
   // Warm the cache with the installed bytes (clean -- the device already
   // holds them), then invalidate only the derived state the set touches.
-  std::vector<std::pair<BlockNo, BlockBufPtr>> cache_blocks;
-  cache_blocks.reserve(records.size());
-  for (const JournalRecord& r : records) {
-    cache_blocks.emplace_back(r.target, r.data);
-  }
   block_cache_.install_clean(cache_blocks);
   note_meta_blocks_batch_(blocks);
   RAEFS_TRY_VOID(invalidate_for_install_(blocks));

@@ -1,12 +1,15 @@
-// A small blocking worker pool shared by the parallel recovery phases
-// (journal replay, shadow op-sequence replay, the pFSCK-style checker).
+// A small blocking worker pool for the parallel recovery phases (journal
+// replay and its region prefetch, the install transaction's journal
+// writes, the pFSCK-style checker). The shadow's op-sequence replay is
+// sequential and does not use it.
 //
 // Deliberately minimal: run(n, fn) executes fn(0..n-1) across the pool's
 // threads and blocks the caller until every task finished. Recovery is a
 // stop-the-world event -- nothing else runs concurrently with it -- so
 // there is no need for work stealing, futures, or a persistent global
-// pool; each phase constructs a pool scoped to itself (thread spawn cost
-// is nanoseconds against a phase that reads megabytes).
+// pool; each phase constructs a pool scoped to itself. That is not free:
+// spawning, running and joining an 8-thread pool took 0.26-0.30 ms on a
+// 4-vCPU host, against a phase that waits on hundreds of device IOs.
 //
 // Determinism contract: a pool constructed with `workers <= 1` runs every
 // task inline on the calling thread, in index order. All parallel

@@ -793,6 +793,8 @@ Result<std::vector<JournalRecord>> Journal::committed_records(
     log_end = durable_cursor_;
     if (log_end <= geo_.journal_start) return Errno::kInval;  // not open
   }
+  // Nothing committed since the floor: no need to re-read the header.
+  if (log_end == geo_.journal_start + 1) return std::vector<JournalRecord>{};
   // Fetch the whole live log [journal_start, log_end) at once, then scan
   // it in memory.
   RAEFS_TRY(auto region, prefetch_journal_region(

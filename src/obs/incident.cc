@@ -35,10 +35,7 @@ std::string incident_to_json(const Incident& inc) {
      << ", \"retries\": " << inc.shadow_retries
      << ", \"forced_syncs\": " << inc.forced_syncs << "},\n"
      << "  \"download\": {\"retries\": " << inc.download_retries << "},\n"
-     << "  \"workers\": {\"autotuned_qdepth\": " << inc.autotuned_qdepth
-     << ", \"journal_replay\": " << inc.journal_replay_workers
-     << ", \"install\": " << inc.install_workers
-     << ", \"fsck\": " << inc.fsck_workers << "},\n"
+     << "  \"workers\": " << inc.workers << ",\n"
      << "  \"flight_tail\": [";
   for (size_t i = 0; i < inc.flight_tail.size(); ++i) {
     if (i != 0) os << ",";

@@ -59,13 +59,9 @@ struct Incident {
   uint64_t forced_syncs = 0;    // cumulative at incident time
   uint64_t download_retries = 0;  // install attempts re-run this incident
 
-  // Worker counts the recovery actually ran with, after `0 = auto` knobs
-  // were resolved from the probed device queue depth (autotuned_qdepth is
-  // 0 when every knob was explicit and no probe ran).
-  uint32_t autotuned_qdepth = 0;
-  uint32_t journal_replay_workers = 0;
-  uint32_t install_workers = 0;
-  uint32_t fsck_workers = 0;
+  // Concurrent IOs every recovery phase ran with (the base's
+  // BaseFsOptions::async_workers).
+  uint32_t workers = 0;
 
   // Flight-recorder tail at detection time (formatted lines, oldest
   // first), bounded so a report stays readable.

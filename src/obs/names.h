@@ -77,9 +77,6 @@ inline constexpr const char* kMRaeRecoveryVerifyNs = "rae.recovery.verify_ns";
 // Download-phase IO retries: full journal-replay + install re-runs after a
 // failed install attempt (each one re-mounts the base from scratch).
 inline constexpr const char* kMRaeDownloadRetries = "rae.download.retries";
-// Effective device queue depth measured by the mount-time probe (gauge;
-// only exported when at least one worker knob is set to 0 = auto).
-inline constexpr const char* kMRaeAutotuneQdepth = "rae.autotune.qdepth";
 inline constexpr const char* kMRaeRecoveryTimeNs =
     "rae.recovery.time_ns";                                         // histogram
 

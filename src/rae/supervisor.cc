@@ -2,7 +2,6 @@
 
 #include <fstream>
 
-#include "blockdev/qdepth_probe.h"
 #include "common/log.h"
 #include "format/superblock.h"
 #include "fsck/fsck.h"
@@ -104,10 +103,6 @@ Result<std::unique_ptr<RaeSupervisor>> RaeSupervisor::start(
         sink.counter(obs::kMRaeScrubDiscrepancies, s.scrub_discrepancies);
         sink.counter(obs::kMRaeForcedSyncs, s.forced_syncs);
         sink.counter(obs::kMRaeDownloadRetries, s.download_retries);
-        if (s.autotuned_qdepth != 0) {
-          sink.gauge(obs::kMRaeAutotuneQdepth,
-                     static_cast<int64_t>(s.autotuned_qdepth));
-        }
         sink.counter(obs::kMRaeDowntimeNs, s.total_downtime);
         sink.counter(obs::kMRaeRecoveryDetectNs, s.detect_ns);
         sink.counter(obs::kMRaeRecoveryContainNs, s.contain_ns);
@@ -285,42 +280,30 @@ Result<ShadowOutcome> RaeSupervisor::recover(const FaultSite& site,
   }
   end_phase(&RaeStats::contain_ns, &obs::Incident::contain_ns);
 
-  // Resolve the `0 = auto` worker knobs once per recovery from the
-  // device's probed effective queue depth (cached per device, so only the
-  // first auto recovery pays the probe). The chosen counts go into the
-  // incident report so a forensic reader can see what the autotuner did.
-  const bool any_auto = opts_.journal_replay_workers == 0 ||
-                        opts_.fsck_workers == 0 ||
-                        opts_.base.install_workers == 0;
-  if (any_auto) {
-    stats_.autotuned_qdepth = cached_queue_depth(dev_).effective_depth;
-  }
-  const uint32_t replay_workers =
-      resolve_workers(opts_.journal_replay_workers, dev_);
-  const uint32_t fsck_workers = resolve_workers(opts_.fsck_workers, dev_);
-  inc.autotuned_qdepth = stats_.autotuned_qdepth;
-  inc.journal_replay_workers = replay_workers;
-  inc.fsck_workers = fsck_workers;
-  inc.install_workers = resolve_workers(opts_.base.install_workers, dev_);
+  // Every phase's IO runs at the base's queue depth.
+  const uint32_t workers = static_cast<uint32_t>(opts_.base.async_workers);
+  inc.workers = workers;
 
   // Reboot: pay the contained-reboot cost and reach the trusted on-disk
-  // state S0 via journal replay.
+  // state S0 via journal replay. S0 is marked clean, so the download's
+  // fresh base mounts it without scanning the journal a second time.
   {
     obs::TraceSpan ps(obs::kSpanRecoveryReboot, clock_.get(), rspan.id());
     if (clock_) clock_->advance(host_->reboot_cost());
     obs::TraceSpan js(obs::kSpanJournalReplay, clock_.get(), ps.id());
-    // Replay is idempotent; a transient device error mid-replay vanishes
-    // on a re-run, so don't take the filesystem offline for one EIO.
-    auto replay = Journal::replay(dev_, geo_, replay_workers);
+    // Replay and the clean mark are idempotent; a transient device error
+    // vanishes on a re-run, so don't take the filesystem offline for one
+    // EIO.
+    Status rebooted = BaseFs::reboot_image(dev_, workers);
     for (uint32_t attempt = 0;
-         !replay.ok() && attempt < opts_.recovery_io_retries; ++attempt) {
+         !rebooted.ok() && attempt < opts_.recovery_io_retries; ++attempt) {
       ++stats_.recovery_io_retries;
       RAEFS_LOG_WARN("rae") << "journal replay attempt " << attempt + 1
                             << " failed; retrying";
-      replay = Journal::replay(dev_, geo_, replay_workers);
+      rebooted = BaseFs::reboot_image(dev_, workers);
     }
     js.end();
-    if (!replay.ok()) {
+    if (!rebooted.ok()) {
       end_phase(&RaeStats::reboot_ns, &obs::Incident::reboot_ns);
       return fail("journal replay failed");
     }
@@ -383,8 +366,7 @@ Result<ShadowOutcome> RaeSupervisor::recover(const FaultSite& site,
             << "metadata download attempt " << attempt
             << " failed; replaying journal and retrying";
         host_->contain();
-        auto rereplay = Journal::replay(dev_, geo_, replay_workers);
-        if (!rereplay.ok()) continue;
+        if (!BaseFs::reboot_image(dev_, workers).ok()) continue;
       }
       try {
         downloaded = host_->download(outcome.dirty);
@@ -417,7 +399,7 @@ Result<ShadowOutcome> RaeSupervisor::recover(const FaultSite& site,
                            "device not snapshot-capable", now());
     } else {
       std::unique_ptr<BlockDevice> snap = capable->snapshot();
-      auto replayed = Journal::replay(snap.get(), geo_, replay_workers);
+      auto replayed = Journal::replay(snap.get(), geo_, workers);
       if (!replayed.ok()) {
         end_phase(&RaeStats::verify_ns, &obs::Incident::verify_ns);
         return fail("post-recovery verify: journal replay on snapshot "
@@ -425,7 +407,7 @@ Result<ShadowOutcome> RaeSupervisor::recover(const FaultSite& site,
       }
       FsckOptions fo;
       fo.level = FsckLevel::kStrict;
-      fo.workers = fsck_workers;
+      fo.workers = workers;
       auto report = fsck(snap.get(), fo);
       if (!report.ok()) {
         end_phase(&RaeStats::verify_ns, &obs::Incident::verify_ns);

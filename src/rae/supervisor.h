@@ -8,12 +8,12 @@
 //     also surface as panics);
 //   - on error, performs the contained reboot (discard the base and all
 //     its in-memory state; replay the journal to reach the trusted on-disk
-//     state S0), runs the shadow over the recorded sequence, downloads the
-//     shadow's metadata into a fresh base, delivers the in-flight
-//     operation's result to the caller, and resumes -- the application
-//     never observes the bug. The base runs in this process or as a forked
-//     server (RaeOptions::fork_base, rae/base_host.h); this is the one
-//     recovery pipeline for both;
+//     state S0 and mark it clean), runs the shadow over the recorded
+//     sequence, downloads the shadow's metadata into a fresh base,
+//     delivers the in-flight operation's result to the caller, and
+//     resumes -- the application never observes the bug. The base runs in
+//     this process or as a forked server (RaeOptions::fork_base,
+//     rae/base_host.h); this is the one recovery pipeline for both;
 //   - if the shadow itself refuses (corrupt/crafted image, fatal
 //     discrepancy), takes the filesystem offline cleanly (every subsequent
 //     operation fails with EIO) instead of crashing the machine.
@@ -90,22 +90,9 @@ struct RaeOptions {
   /// blocks -- so re-running the phase after a transient EIO is safe.
   uint32_t recovery_io_retries = 2;
 
-  // --- recovery parallelism & verification (docs/RECOVERY.md) ----------
-
-  /// Worker threads for journal replay during the reboot phase. Replay is
-  /// batched latest-wins per target block and the writes partitioned by
-  /// block range, so any worker count produces a byte-identical image;
-  /// 1 keeps the serial reference path. 0 = auto: derive the count from
-  /// the device's probed effective queue depth (blockdev/qdepth_probe.h),
-  /// measured once per device and recorded in the incident report.
-  uint32_t journal_replay_workers = 1;
-
-  /// Worker threads for post-recovery fsck (the verify phase below and
-  /// any supervisor-driven checks). Parallelism only prefetches; findings
-  /// are byte-identical to a serial run. 1 keeps the serial path; 0 =
-  /// auto (probed queue depth, as above). The bulk install's worker count
-  /// is `base.install_workers`; the shadow replay is always sequential.
-  uint32_t fsck_workers = 1;
+  // --- recovery verification (docs/RECOVERY.md) -------------------------
+  // Every recovery phase's IO runs at `base.async_workers` in flight; the
+  // shadow replay is always sequential.
 
   /// After the download phase, snapshot the device, replay the journal on
   /// the snapshot and run a strict fsck over it before re-admitting
@@ -133,9 +120,6 @@ struct RaeStats {
   uint64_t shadow_retries = 0;  // transient shadow refusals retried
   uint64_t recovery_io_retries = 0;  // replay/download phases re-run
   uint64_t download_retries = 0;  // download-phase installs re-attempted
-  // Effective queue depth from the mount-time probe; 0 until some worker
-  // knob set to 0 (= auto) forces a probe.
-  uint32_t autotuned_qdepth = 0;
   uint64_t panics_trapped = 0;
   uint64_t warn_recoveries = 0;
   uint64_t ops_replayed_total = 0;

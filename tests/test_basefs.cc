@@ -103,6 +103,38 @@ TEST_F(BaseFsTest, SparseFilesReadZeros) {
   EXPECT_EQ(end.value(), tail);
 }
 
+TEST_F(BaseFsTest, PartialWriteIntoFreshBlockKeepsZerosAround) {
+  // Free blocks that held nonzero bytes first, so a fresh allocation that
+  // skipped its zero-fill would show stale content.
+  auto old = t.fs->create("/old", 0644);
+  ASSERT_TRUE(old.ok());
+  ASSERT_TRUE(
+      t.fs->write(old.value(), 0, 0, pattern_bytes(8 * kBlockSize, 5)).ok());
+  ASSERT_TRUE(t.fs->sync().ok());
+  ASSERT_TRUE(t.fs->unlink("/old").ok());
+  ASSERT_TRUE(t.fs->sync().ok());
+
+  auto ino = t.fs->create("/f", 0644);
+  ASSERT_TRUE(ino.ok());
+  // A partial chunk into fresh block 1, then a whole fresh block 3
+  // followed by a partial fresh block 4.
+  auto small = pattern_bytes(100, 6);
+  auto span = pattern_bytes(kBlockSize + 50, 7);
+  ASSERT_TRUE(t.fs->write(ino.value(), 0, kBlockSize + 7, small).ok());
+  ASSERT_TRUE(t.fs->write(ino.value(), 0, 3 * kBlockSize, span).ok());
+  std::vector<uint8_t> model(4 * kBlockSize + 50, 0);
+  std::copy(small.begin(), small.end(), model.begin() + kBlockSize + 7);
+  std::copy(span.begin(), span.end(), model.begin() + 3 * kBlockSize);
+  EXPECT_EQ(t.fs->read(ino.value(), 0, 0, model.size()).value(), model);
+
+  ASSERT_TRUE(t.fs->unmount().ok());
+  auto again = BaseFs::mount(t.device.get(), BaseFsOptions{}, t.clock);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(again.value()->read(ino.value(), 0, 0, model.size()).value(),
+            model);
+  ASSERT_TRUE(again.value()->unmount().ok());
+}
+
 TEST_F(BaseFsTest, WriteAcrossIndirectBoundary) {
   auto ino = t.fs->create("/big", 0644);
   ASSERT_TRUE(ino.ok());

@@ -14,7 +14,6 @@
 #include "blockdev/fault_device.h"
 #include "blockdev/file_device.h"
 #include "blockdev/mem_device.h"
-#include "blockdev/qdepth_probe.h"
 #include "common/panic.h"
 
 namespace raefs {
@@ -650,61 +649,6 @@ TEST(FileDevice, RoundTripsThroughDisk) {
     EXPECT_EQ(out, filled(0xEE));
   }
   ::unlink(path.c_str());
-}
-
-// ---------------------------------------------------------------------
-// Queue-depth probe: the measurement behind `workers = 0` (auto).
-// ---------------------------------------------------------------------
-
-TEST(QdepthProbe, LatencyFreeDeviceShortCircuitsToDepthOne) {
-  // A bare MemBlockDevice has no measurable per-IO latency: there is
-  // nothing to overlap, and the probe must not invent scaling out of
-  // scheduler noise.
-  clear_queue_depth_cache();
-  MemBlockDevice dev(256);
-  auto r = probe_queue_depth(&dev);
-  EXPECT_EQ(r.effective_depth, 1u);
-  EXPECT_EQ(resolve_workers(0, &dev), 1u);
-  clear_queue_depth_cache();
-}
-
-TEST(QdepthProbe, ExplicitKnobBypassesTheProbe) {
-  clear_queue_depth_cache();
-  MemBlockDevice dev(256);
-  for (uint32_t knob : {1u, 2u, 4u, 8u, 12u}) {
-    EXPECT_EQ(resolve_workers(knob, &dev), knob);
-  }
-  clear_queue_depth_cache();
-}
-
-TEST(QdepthProbe, ResultIsCachedPerDeviceInstance) {
-  clear_queue_depth_cache();
-  MemBlockDevice a(256);
-  MemBlockDevice b(256);
-  auto ra1 = cached_queue_depth(&a);
-  auto ra2 = cached_queue_depth(&a);
-  EXPECT_EQ(ra1.effective_depth, ra2.effective_depth);
-  EXPECT_EQ(ra1.single_read_ns, ra2.single_read_ns);
-  // A different instance gets its own probe (both land on depth 1 here,
-  // but the cache must key on the instance, not the type).
-  auto rb = cached_queue_depth(&b);
-  EXPECT_EQ(rb.effective_depth, 1u);
-  clear_queue_depth_cache();
-}
-
-TEST(QdepthProbe, ProbeOnlyReads) {
-  // The probe runs on a mounted (possibly just-recovered) image: it must
-  // never write. Arm the fault device to fail every write; the probe
-  // must still succeed.
-  clear_queue_depth_cache();
-  MemBlockDevice mem(256);
-  FaultBlockDevice dev(&mem);
-  dev.arm_crash_after_writes(0);  // any write would fail from here on
-  auto r = probe_queue_depth(&dev);
-  EXPECT_GE(r.effective_depth, 1u);
-  EXPECT_FALSE(dev.crashed()) << "the probe wrote to the device";
-  EXPECT_EQ(dev.writes_seen(), 0u);
-  clear_queue_depth_cache();
 }
 
 }  // namespace

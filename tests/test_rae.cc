@@ -5,10 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <thread>
 
+#include "format/superblock.h"
 #include "fsck/crafted.h"
 #include "fsck/fsck.h"
 #include "faults/bug_library.h"
@@ -696,6 +700,135 @@ TEST(RaeRecoveryIdempotence, OneShotWriteErrorMidRecoverySurvivesOnline) {
     ASSERT_TRUE(report.ok());
     EXPECT_TRUE(report.value().consistent()) << report.value().summary();
   }
+}
+
+// ---------------------------------------------------------------------------
+// Recovery IO at default options: the reboot step scans the journal once
+// and leaves S0 marked clean, so the download's mount does not scan it
+// again; the reboot and the download both keep several IOs in flight.
+// ---------------------------------------------------------------------------
+
+/// While armed, counts reads per journal-region block and the peak number
+/// of IOs in flight, split at the reboot step's clean superblock mark:
+/// phase 0 is the reboot, phase 1 the shadow replay and the download.
+/// Each armed IO is held briefly so that concurrent ones overlap.
+class RecoveryIoProbe final : public BlockDevice {
+ public:
+  RecoveryIoProbe(BlockDevice* inner, const Geometry& geo)
+      : inner_(inner), geo_(geo), journal_reads_(2 * geo.journal_blocks) {}
+
+  uint32_t block_size() const override { return inner_->block_size(); }
+  uint64_t block_count() const override { return inner_->block_count(); }
+  Status read_block(BlockNo b, std::span<uint8_t> out) override {
+    Held held(this);
+    if (armed_ && b >= geo_.journal_start &&
+        b < geo_.journal_start + geo_.journal_blocks) {
+      ++journal_reads_[phase() * geo_.journal_blocks + b - geo_.journal_start];
+    }
+    return inner_->read_block(b, out);
+  }
+  Status write_block(BlockNo b, std::span<const uint8_t> d) override {
+    Held held(this);
+    Status st = inner_->write_block(b, d);
+    if (armed_ && b == 0 && st.ok()) {
+      auto sb = Superblock::decode(d);
+      if (sb.ok() && sb.value().state == FsState::kClean) cleaned_ = true;
+    }
+    return st;
+  }
+  Status flush() override { return inner_->flush(); }
+  const DeviceStats& stats() const override { return inner_->stats(); }
+
+  void arm(bool on) { armed_ = on; }
+  bool cleaned() const { return cleaned_; }
+  uint32_t journal_reads(int phase, uint64_t i) const {
+    return journal_reads_[phase * geo_.journal_blocks + i];
+  }
+  int peak_in_flight(int phase) const { return peak_[phase]; }
+
+ private:
+  struct Held {
+    explicit Held(RecoveryIoProbe* p) : p(p), counted(p->armed_) {
+      if (!counted) return;
+      const int now = ++p->in_flight_;
+      std::atomic<int>& peak = p->peak_[p->phase()];
+      int seen = peak.load();
+      while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+    ~Held() {
+      if (counted) --p->in_flight_;
+    }
+    RecoveryIoProbe* p;
+    bool counted;
+  };
+  int phase() const { return cleaned_ ? 1 : 0; }
+
+  BlockDevice* inner_;
+  Geometry geo_;
+  std::atomic<bool> armed_{false};
+  std::atomic<bool> cleaned_{false};
+  std::atomic<int> in_flight_{0};
+  std::atomic<int> peak_[2] = {0, 0};
+  std::vector<std::atomic<uint32_t>> journal_reads_;
+};
+
+struct DefaultRecoveryIo : ::testing::Test {
+  /// One recovery at default options, with `probe` armed throughout it.
+  void SetUp() override {
+    t = make_test_device();
+    geo = compute_geometry(4096, 512, 128).value();
+    probe = std::make_unique<RecoveryIoProbe>(t.device.get(), geo);
+    bugs.install(bugs::make(bugs::kUnlinkLongNamePanic));
+    auto started = RaeSupervisor::start(probe.get(), {}, t.clock, &bugs);
+    ASSERT_TRUE(started.ok());
+    sup = std::move(started).value();
+    std::string trigger = "/" + std::string(54, 'x');
+    auto keep = sup->create("/keep", 0644);
+    ASSERT_TRUE(keep.ok());
+    ASSERT_TRUE(sup->write(keep.value(), 0, 0, pattern_bytes(3000, 7)).ok());
+    ASSERT_TRUE(sup->sync().ok());
+    ASSERT_TRUE(sup->create(trigger, 0644).ok());
+    probe->arm(true);
+    ASSERT_TRUE(sup->unlink(trigger).ok());
+    probe->arm(false);
+    ASSERT_EQ(sup->stats().recoveries, 1u);
+    ASSERT_TRUE(probe->cleaned());
+  }
+  void TearDown() override {
+    if (sup) EXPECT_TRUE(sup->shutdown().ok());
+    auto report = fsck(t.device.get(), FsckLevel::kStrict);
+    ASSERT_TRUE(report.ok());
+    EXPECT_TRUE(report.value().consistent()) << report.value().summary();
+  }
+
+  testing_support::TestFs t;
+  Geometry geo;
+  BugRegistry bugs;
+  std::unique_ptr<RecoveryIoProbe> probe;
+  std::unique_ptr<RaeSupervisor> sup;
+};
+
+TEST_F(DefaultRecoveryIo, JournalIsScannedOnce) {
+  // The reboot step reads every journal block at most once: its replay
+  // and tail audit share one prefetch of the region.
+  for (uint64_t i = 0; i < geo.journal_blocks; ++i) {
+    EXPECT_LE(probe->journal_reads(0, i), 1u) << "journal block " << i;
+  }
+  EXPECT_EQ(probe->journal_reads(0, 0), 1u);
+  // After the clean mark, the download's mount reads only the journal
+  // header, whose floor numbers the next transaction. No replay, no
+  // tail audit.
+  EXPECT_EQ(probe->journal_reads(1, 0), 1u);
+  for (uint64_t i = 1; i < geo.journal_blocks; ++i) {
+    EXPECT_EQ(probe->journal_reads(1, i), 0u) << "journal block " << i;
+  }
+}
+
+TEST_F(DefaultRecoveryIo, RebootAndDownloadKeepSeveralIosInFlight) {
+  EXPECT_GT(probe->peak_in_flight(0), 1);
+  EXPECT_GT(probe->peak_in_flight(1), 1);
 }
 
 }  // namespace

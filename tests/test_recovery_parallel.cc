@@ -393,17 +393,27 @@ TEST(FsckParallel, MatchesSerialOnCorruptImage) {
 }
 
 // ---------------------------------------------------------------------
-// Supervisor: recovery with every parallel knob on, including the
-// optional verify phase, behaves exactly like the serial pipeline.
+// Supervisor: recovery, including the optional verify phase, runs every
+// phase at the base's queue depth and behaves the same at every depth.
 // ---------------------------------------------------------------------
 
-TEST(ParallelRecovery, SupervisorRecoversWithAllKnobsOn) {
+class QueueDepth : public ::testing::TestWithParam<int> {
+ protected:
+  int async_workers() const { return GetParam(); }
+};
+
+INSTANTIATE_TEST_SUITE_P(AsyncWorkers, QueueDepth, ::testing::Values(1, 2, 8),
+                         [](const ::testing::TestParamInfo<int>& info) {
+                           return "async_workers_" +
+                                  std::to_string(info.param);
+                         });
+
+TEST_P(QueueDepth, SupervisorRecoversAndVerifies) {
   auto t = make_test_device();
   BugRegistry bugs;
   bugs.install(bugs::make(bugs::kUnlinkLongNamePanic));
   RaeOptions opts;
-  opts.journal_replay_workers = 4;
-  opts.fsck_workers = 4;
+  opts.base.async_workers = async_workers();
   opts.verify_after_recovery = true;
   auto started = RaeSupervisor::start(t.device.get(), opts, t.clock, &bugs);
   ASSERT_TRUE(started.ok());
@@ -443,36 +453,37 @@ std::vector<InstallBlock> scenario_dirty(const RecordedScenario& s) {
   return out.dirty;
 }
 
-TEST(InstallParallel, WorkerCountsProduceIdenticalImages) {
+/// Mount a clone of `image` at `async_workers`, install `set`, unmount,
+/// and return the persisted image.
+std::vector<uint8_t> installed_image(const MemBlockDevice& image,
+                                     const std::vector<InstallBlock>& set,
+                                     int async_workers) {
+  auto dev = image.clone_full();
+  BaseFsOptions opts;
+  opts.async_workers = async_workers;
+  auto mounted = BaseFs::mount(dev.get(), opts, nullptr);
+  EXPECT_TRUE(mounted.ok());
+  if (!mounted.ok()) return {};
+  auto fs = std::move(mounted).value();
+  EXPECT_TRUE(fs->install_blocks(set).ok());
+  EXPECT_TRUE(fs->unmount().ok());
+  return image_of(*dev);
+}
+
+TEST_P(QueueDepth, InstallMatchesSerialApply) {
   auto s = record_scenario();
   auto dirty = scenario_dirty(s);
   ASSERT_FALSE(dirty.empty());
-
-  std::vector<uint8_t> reference;  // workers=1 = the serial apply
-  for (uint32_t workers : {1u, 2u, 4u, 8u}) {
-    auto dev = s.device->clone_full();
-    BaseFsOptions opts;
-    opts.install_workers = workers;
-    auto mounted = BaseFs::mount(dev.get(), opts, nullptr);
-    ASSERT_TRUE(mounted.ok());
-    auto fs = std::move(mounted).value();
-    ASSERT_TRUE(fs->install_blocks(dirty).ok()) << "workers=" << workers;
-    ASSERT_TRUE(fs->unmount().ok());
-    auto img = image_of(*dev);
-    if (reference.empty()) {
-      reference = std::move(img);
-    } else {
-      EXPECT_EQ(img, reference) << "workers=" << workers;
-    }
-  }
+  EXPECT_EQ(installed_image(*s.device, dirty, async_workers()),
+            installed_image(*s.device, dirty, 1));
 }
 
-TEST(InstallParallel, MatchesSerialOnReorderCrashImages) {
+TEST_P(QueueDepth, InstallMatchesSerialOnReorderCrashImages) {
   // Bulk installs onto crashx v2 reorder-dirtied images: mount replays
-  // the journal first, then the install at every worker count must leave
-  // byte-identical images. The install set is harvested from a different
-  // crash image with the same geometry, so it is structurally valid and
-  // its writes are not no-ops.
+  // the journal first, then the install must leave the image the serial
+  // path leaves. The install set is harvested from a different crash
+  // image with the same geometry, so it is structurally valid and its
+  // writes are not no-ops.
   Geometry geo = test_geometry();
   auto donor = make_reorder_dirty_image(/*seed=*/777, /*f=*/3);
   ASSERT_TRUE(Journal::replay(donor.get(), geo).ok());
@@ -492,24 +503,9 @@ TEST(InstallParallel, MatchesSerialOnReorderCrashImages) {
 
   for (uint64_t f : {2u, 5u, 9u}) {
     auto dirty = make_reorder_dirty_image(/*seed=*/1234, f);
-    std::vector<uint8_t> reference;
-    for (uint32_t workers : {1u, 2u, 4u, 8u}) {
-      auto dev = dirty->clone_full();
-      BaseFsOptions opts;
-      opts.install_workers = workers;
-      auto mounted = BaseFs::mount(dev.get(), opts, nullptr);
-      ASSERT_TRUE(mounted.ok()) << "flush " << f;
-      auto fs = std::move(mounted).value();
-      ASSERT_TRUE(fs->install_blocks(set).ok())
-          << "flush " << f << " workers " << workers;
-      ASSERT_TRUE(fs->unmount().ok());
-      auto img = image_of(*dev);
-      if (reference.empty()) {
-        reference = std::move(img);
-      } else {
-        EXPECT_EQ(img, reference) << "flush " << f << " workers " << workers;
-      }
-    }
+    EXPECT_EQ(installed_image(*dirty, set, async_workers()),
+              installed_image(*dirty, set, 1))
+        << "flush " << f;
   }
 }
 
@@ -543,7 +539,7 @@ TEST(InstallParallel, PowerCutThroughBulkInstallIsAtomic) {
     {
       FaultBlockDevice fdev(victim.get());
       BaseFsOptions opts;
-      opts.install_workers = 4;
+      opts.async_workers = 4;
       auto mounted = BaseFs::mount(&fdev, opts, nullptr);
       ASSERT_TRUE(mounted.ok()) << "cut " << cut;
       auto fs = std::move(mounted).value();

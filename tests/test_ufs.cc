@@ -7,8 +7,11 @@
 #include <gtest/gtest.h>
 
 #include "faults/bug_library.h"
+#include "format/superblock.h"
 #include "fsck/fsck.h"
+#include "journal/journal.h"
 #include "obs/incident.h"
+#include "oplog/payload.h"
 #include "rae/supervisor.h"
 #include "tests/support/fixtures.h"
 #include "tests/support/fs_compare.h"
@@ -318,6 +321,74 @@ TEST_P(BaseHostTest, ScrubOnBothHostsDeepOnlyInProcess) {
     EXPECT_TRUE(deep.value().discrepancies.empty());
   }
   ASSERT_TRUE(sup->shutdown().ok());
+}
+
+TEST_P(BaseHostTest, DownloadBootsOntoTheCleanRebootedImage) {
+  // The recovery pipeline's own steps, with the image inspected in
+  // between: the reboot step replays the journal and marks S0 clean, and
+  // the host's download then boots a base that does not replay again.
+  device = std::make_unique<ShmBlockDevice>(8192);
+  MkfsOptions mkfs;
+  mkfs.total_blocks = 8192;
+  mkfs.inode_count = 1024;
+  ASSERT_TRUE(BaseFs::mkfs(device.get(), mkfs).ok());
+  Geometry geo = compute_geometry(8192, 1024, mkfs.journal_blocks).value();
+  auto superblock = [&] {
+    std::vector<uint8_t> block(kBlockSize);
+    EXPECT_TRUE(device->read_block(0, block).ok());
+    return Superblock::decode(block).value();
+  };
+  {
+    // A base that dies with committed transactions still in its journal.
+    auto mounted = BaseFs::mount(device.get(), {});
+    ASSERT_TRUE(mounted.ok());
+    auto ino = mounted.value()->create("/kept", 0644);
+    ASSERT_TRUE(ino.ok());
+    ASSERT_TRUE(
+        mounted.value()->write(ino.value(), 0, 0, pattern_bytes(5000, 3)).ok());
+    ASSERT_TRUE(mounted.value()->sync().ok());
+  }
+  ASSERT_EQ(superblock().state, FsState::kMounted);
+  ASSERT_FALSE(Journal::scan(device.get(), geo).value().empty());
+
+  ASSERT_TRUE(BaseFs::reboot_image(device.get(), 8).ok());
+  EXPECT_EQ(superblock().state, FsState::kClean);
+  EXPECT_TRUE(Journal::scan(device.get(), geo).value().empty());
+
+  // Stale bytes past the journal header, as a torn tail leaves them. A
+  // replay at mount would zero this block; a clean mount leaves it alone.
+  const std::vector<uint8_t> stale(kBlockSize, 0x5A);
+  ASSERT_TRUE(device->write_block(geo.journal_start + 1, stale).ok());
+
+  WarnSink warns;
+  std::unique_ptr<BaseHost> host;
+  if (forked()) {
+    host = std::make_unique<ForkedBaseHost>(device.get(), BaseFsOptions{},
+                                            nullptr);
+  } else {
+    host = std::make_unique<InProcessBaseHost>(
+        device.get(), BaseFsOptions{}, nullptr, nullptr, &warns, 0,
+        [](Seq) {});
+  }
+  ASSERT_TRUE(host->download({}).ok());
+  EXPECT_EQ(superblock().state, FsState::kMounted);
+  std::vector<uint8_t> tail(kBlockSize);
+  ASSERT_TRUE(device->read_block(geo.journal_start + 1, tail).ok());
+  EXPECT_EQ(tail, stale) << "the booted base replayed the journal again";
+
+  OpRequest stat;
+  stat.kind = OpKind::kStat;
+  stat.path = "/kept";
+  OpOutcome out = host->apply(stat, 0);
+  ASSERT_EQ(out.err, Errno::kOk);
+  auto st = decode_stat(out.payload);
+  ASSERT_TRUE(st.ok());
+  EXPECT_EQ(st.value().size, 5000u);
+  ASSERT_TRUE(host->unmount().ok());
+  auto snap = device->snapshot();
+  auto report = fsck(snap.get(), FsckLevel::kStrict);
+  ASSERT_TRUE(report.ok());
+  EXPECT_TRUE(report.value().consistent()) << report.value().summary();
 }
 
 INSTANTIATE_TEST_SUITE_P(Hosts, BaseHostTest, ::testing::Bool(),
