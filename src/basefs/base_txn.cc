@@ -504,6 +504,13 @@ Status BaseFs::checkpoint_now_locked(std::unique_lock<std::mutex>& lk,
 
 Status BaseFs::checkpoint_core_() {
   obs::TraceSpan span(obs::kSpanBaseCheckpoint, clock_.get());
+  if (journal_.empty()) {
+    // Nothing is journaled past the floor: no block to write back, and
+    // the header already holds the floor, so the checkpoint does no IO.
+    std::lock_guard<std::mutex> g(commit_mu_);
+    durable_class_.clear();
+    return Status::Ok();
+  }
   // Write the last durably-journaled copy of every journaled block in
   // place, re-read from the journal region itself. Using the journaled
   // copies -- not current cache content -- keeps WAL intact: a block
@@ -656,7 +663,8 @@ Status BaseFs::install_blocks(const std::vector<InstallBlock>& blocks) {
 
   // Quiesce: drain the pipeline and checkpoint whatever the journal
   // already holds, so the checkpoint below cannot raise the floor over
-  // some other transaction's committed-but-not-yet-in-place state.
+  // some other transaction's committed-but-not-yet-in-place state. On a
+  // freshly mounted base the journal is empty and this does no IO.
   RAEFS_TRY_VOID(commit_txn(/*force_checkpoint=*/true));
 
   // Latest copy per target (the shadow's output is normally duplicate-

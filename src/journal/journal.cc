@@ -47,6 +47,14 @@ bool block_crc_ok(std::span<const uint8_t> block) {
   return crc32c(block.data(), kBlockSize - 4) == stored;
 }
 
+/// Reads the magic and kind that open every record, then checks the CRC.
+/// The cheap fields go first, so a payload block met by a scan is turned
+/// away without checksumming its 4 KiB.
+bool record_ok(Decoder* dec, std::span<const uint8_t> block, RecKind kind) {
+  return dec->get_u64() == kJournalMagic &&
+         dec->get_u32() == static_cast<uint32_t>(kind) && block_crc_ok(block);
+}
+
 struct Header {
   uint64_t floor_seq = 0;
 };
@@ -62,12 +70,8 @@ std::vector<uint8_t> encode_header(const Header& h) {
 }
 
 Result<Header> decode_header(std::span<const uint8_t> block) {
-  if (!block_crc_ok(block)) return Errno::kCorrupt;
   Decoder dec(block);
-  if (dec.get_u64() != kJournalMagic) return Errno::kCorrupt;
-  if (dec.get_u32() != static_cast<uint32_t>(RecKind::kHeader)) {
-    return Errno::kCorrupt;
-  }
+  if (!record_ok(&dec, block, RecKind::kHeader)) return Errno::kCorrupt;
   Header h;
   h.floor_seq = dec.get_u64();
   if (!dec.ok()) return Errno::kCorrupt;
@@ -98,12 +102,8 @@ std::vector<uint8_t> encode_descriptor(const Descriptor& d) {
 }
 
 Result<Descriptor> decode_descriptor(std::span<const uint8_t> block) {
-  if (!block_crc_ok(block)) return Errno::kCorrupt;
   Decoder dec(block);
-  if (dec.get_u64() != kJournalMagic) return Errno::kCorrupt;
-  if (dec.get_u32() != static_cast<uint32_t>(RecKind::kDescriptor)) {
-    return Errno::kCorrupt;
-  }
+  if (!record_ok(&dec, block, RecKind::kDescriptor)) return Errno::kCorrupt;
   Descriptor d;
   d.seq = dec.get_u64();
   uint32_t ntags = dec.get_u32();
@@ -142,12 +142,8 @@ std::vector<uint8_t> encode_commit(const Commit& c) {
 }
 
 Result<Commit> decode_commit(std::span<const uint8_t> block) {
-  if (!block_crc_ok(block)) return Errno::kCorrupt;
   Decoder dec(block);
-  if (dec.get_u64() != kJournalMagic) return Errno::kCorrupt;
-  if (dec.get_u32() != static_cast<uint32_t>(RecKind::kCommit)) {
-    return Errno::kCorrupt;
-  }
+  if (!record_ok(&dec, block, RecKind::kCommit)) return Errno::kCorrupt;
   Commit c;
   c.seq = dec.get_u64();
   c.ntags = dec.get_u32();
@@ -831,6 +827,11 @@ Status Journal::checkpoint() {
   durable_cursor_ = cursor_;
   checkpoint_counter().inc();
   return Status::Ok();
+}
+
+bool Journal::empty() const {
+  std::lock_guard<std::mutex> lk(mu_);
+  return cursor_ == geo_.journal_start + 1;
 }
 
 uint64_t Journal::committed_seq() const {

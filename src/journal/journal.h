@@ -211,6 +211,11 @@ class Journal {
   /// reset the write cursor. Durable before returning.
   Status checkpoint();
 
+  /// True when no transaction is committed or staged past the header's
+  /// floor: the write cursor sits right after the header, and the header
+  /// already holds the floor a checkpoint would write.
+  bool empty() const;
+
   uint64_t committed_seq() const;
 
   /// Fraction of the journal region currently used, in [0,1].

@@ -167,14 +167,18 @@ Nanos ShadowFs::block_access_cost() const {
   return 3000;
 }
 
-std::vector<uint8_t> ShadowFs::read_block(BlockNo block) {
+std::vector<uint8_t> ShadowFs::read_block(BlockNo block, bool file_content) {
   check(block < geo_.total_blocks || !opened_, "block number out of range");
   if (clock_) clock_->advance(block_access_cost());
   auto it = overlay_.find(block);
   if (it != overlay_.end()) return it->second.data;
+  auto kept = memo_.find(block);
+  if (kept != memo_.end()) return kept->second;
   std::vector<uint8_t> data(kBlockSize);
   SHADOW_CHECK(rodev_.read_block(block, data).ok(), "device read failed");
   ++device_reads_;
+  // Kept only after a successful read, so a failed one leaves no entry.
+  if (!file_content) memo_.emplace(block, data);
   return data;
 }
 
@@ -192,7 +196,8 @@ void ShadowFs::write_block(BlockNo block, std::vector<uint8_t> data,
 
 void ShadowFs::modify_block(BlockNo block, BlockClass cls,
                             const std::function<void(std::span<uint8_t>)>& fn) {
-  auto data = read_block(block);
+  auto data = read_block(block, cls == BlockClass::kFileData &&
+                                    geo_.is_data_block(block));
   fn(std::span<uint8_t>(data));
   write_block(block, std::move(data), cls);
 }

@@ -4,11 +4,18 @@
 //   - strictly single-threaded, no locks;
 //   - no dentry cache: every path walk starts from the root inode and
 //     scans directory entries;
-//   - no inode or block caches: a plain overlay map holds only the blocks
-//     modified during this recovery;
-//   - synchronous reads directly from the device, through a read-only
-//     view -- the shadow NEVER writes to the device. Its entire output is
-//     the overlay (dirty-block set) handed back to the base;
+//   - no inode or decoded-object caches: a plain overlay map holds the
+//     blocks modified during this recovery;
+//   - synchronous reads from the device, through a read-only view -- the
+//     shadow NEVER writes to the device. Its entire output is the overlay
+//     (dirty-block set) handed back to the base;
+//   - each metadata block (bitmaps, inode table, directory and indirect
+//     blocks) is read from the device once: a read-only memo keeps its raw
+//     bytes. The device cannot change while the shadow runs (the base is
+//     contained and the shadow never writes), so the memo returns exactly
+//     what a re-read would, and every access still decodes and validates.
+//     File contents are not kept, so the memo stays bounded by the
+//     metadata the replay touches;
 //   - no journal, no crash-consistency logic: completed sync operations
 //     are already on disk (they are the shadow's input) and incomplete
 //     ones are re-issued by the rebooted base after hand-off.
@@ -24,6 +31,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "basefs/base_fs.h"  // StatResult, InstallBlock, BlockClass
@@ -110,9 +118,11 @@ class ShadowFs {
   friend class ShadowFsTestPeer;
 
   // -- checked block access ----------------------------------------------
-  /// Read through the overlay; device reads are counted and validated.
-  /// Returns by value: simplicity over speed, the shadow's explicit trade.
-  std::vector<uint8_t> read_block(BlockNo block);
+  /// Read through the overlay, then the memo; device reads are counted
+  /// and validated. Blocks read as metadata enter the memo; file content
+  /// (`file_content`) does not. Returns by value: callers decode a private
+  /// copy, and neither the memo nor the overlay is changed through it.
+  std::vector<uint8_t> read_block(BlockNo block, bool file_content = false);
   /// Write into the overlay (never the device).
   void write_block(BlockNo block, std::vector<uint8_t> data, BlockClass cls);
   void modify_block(BlockNo block, BlockClass cls,
@@ -169,6 +179,8 @@ class ShadowFs {
     BlockClass cls = BlockClass::kFileData;
   };
   std::map<BlockNo, OverlayBlock> overlay_;  // ordered: deterministic seal()
+  // Device bytes of the metadata blocks read so far; never modified.
+  std::unordered_map<BlockNo, std::vector<uint8_t>> memo_;
 
   uint64_t device_reads_ = 0;
   uint64_t checks_ = 0;

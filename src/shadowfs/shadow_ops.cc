@@ -1,8 +1,8 @@
 // ShadowFs operations. Each mirrors the BaseFs implementation's semantics
 // and error-code order exactly (paper §3.3: API-level output must be
 // equivalent), but with the simplest possible sequential logic: path walks
-// always start from the root, directories are scanned linearly, nothing is
-// cached, and every structure is validated as it is touched.
+// always start from the root, directories are scanned linearly, no decoded
+// state is cached, and every structure is validated as it is touched.
 #include <algorithm>
 #include <cstring>
 
@@ -413,7 +413,7 @@ Result<std::string> ShadowFs::readlink(std::string_view path) {
   if (b == 0 || node.size == 0 || node.size > kBlockSize) {
     return Errno::kCorrupt;
   }
-  auto data = read_block(b);
+  auto data = read_block(b, /*file_content=*/true);
   return std::string(reinterpret_cast<const char*>(data.data()), node.size);
 }
 
@@ -442,7 +442,7 @@ Result<std::vector<uint8_t>> ShadowFs::read(Ino ino, uint64_t gen, FileOff off,
     if (b == 0) {
       std::memset(out.data() + done, 0, chunk);
     } else {
-      auto data = read_block(b);
+      auto data = read_block(b, /*file_content=*/true);
       std::memcpy(out.data() + done, data.data() + in_block, chunk);
     }
     done += chunk;
@@ -473,11 +473,17 @@ Result<uint64_t> ShadowFs::write(Ino ino, uint64_t gen, FileOff off,
       failure = mapped.error();
       break;
     }
-    modify_block(mapped.value(), BlockClass::kFileData,
-                 [&](std::span<uint8_t> blk) {
-                   std::memcpy(blk.data() + in_block, data.data() + done,
-                               chunk);
-                 });
+    auto src = data.subspan(done, chunk);
+    if (chunk == kBlockSize) {
+      // The chunk replaces every byte of the block: nothing to read.
+      write_block(mapped.value(), std::vector<uint8_t>(src.begin(), src.end()),
+                  BlockClass::kFileData);
+    } else {
+      modify_block(mapped.value(), BlockClass::kFileData,
+                   [&](std::span<uint8_t> blk) {
+                     std::memcpy(blk.data() + in_block, src.data(), chunk);
+                   });
+    }
     done += chunk;
   }
 

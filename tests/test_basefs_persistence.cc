@@ -37,6 +37,27 @@ TEST(Persistence, CleanUnmountRemountPreservesEverything) {
   EXPECT_EQ(fs2.value()->readlink("/ln").value(), "/d/f");
 }
 
+TEST(Persistence, CheckpointOfAnEmptyJournalDoesNoIo) {
+  // A fresh mount's journal holds nothing past its floor, so unmount's
+  // forced checkpoint writes nothing; only the clean superblock remains.
+  auto t = make_test_fs();
+  const uint64_t writes = t.device->stats().writes.load();
+  const uint64_t flushes = t.device->stats().flushes.load();
+  const uint64_t checkpoints = t.fs->stats().checkpoints;
+  ASSERT_TRUE(t.fs->unmount().ok());
+  EXPECT_EQ(t.device->stats().writes.load() - writes, 1u);
+  EXPECT_LE(t.device->stats().flushes.load() - flushes, 1u);
+  EXPECT_EQ(t.fs->stats().checkpoints, checkpoints);
+
+  auto fs2 = BaseFs::mount(t.device.get(), default_base(), t.clock);
+  ASSERT_TRUE(fs2.ok());
+  EXPECT_EQ(fs2.value()->stats().journal_replays_at_mount, 0u);
+  ASSERT_TRUE(fs2.value()->unmount().ok());
+  auto report = fsck(t.device.get(), FsckLevel::kStrict);
+  ASSERT_TRUE(report.ok());
+  EXPECT_TRUE(report.value().consistent()) << report.value().summary();
+}
+
 TEST(Persistence, CrashWithoutSyncLosesUnsyncedButStaysConsistent) {
   auto t = make_test_fs();
   ASSERT_TRUE(t.fs->create("/synced", 0644).ok());

@@ -65,6 +65,39 @@ TEST(Checksum, SeedChaining) {
   EXPECT_EQ(whole, chained);
 }
 
+// Bit-at-a-time CRC32C: the definition, with no tables to get wrong.
+uint32_t crc32c_reference(const uint8_t* p, size_t n, uint32_t seed = 0) {
+  uint32_t crc = ~seed;
+  for (size_t i = 0; i < n; ++i) {
+    crc ^= p[i];
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc >> 1) ^ ((crc & 1) ? 0x82F63B78u : 0);
+    }
+  }
+  return ~crc;
+}
+
+TEST(Checksum, MatchesReferenceAtEveryLengthAndAlignment) {
+  // 0..64 bytes cover the 8-byte main loop, the bytewise tail and both
+  // together; offsets 0..7 start the input at every alignment.
+  std::vector<uint8_t> buf(8 + 64);
+  for (size_t i = 0; i < buf.size(); ++i) {
+    buf[i] = static_cast<uint8_t>(i * 167 + 13);
+  }
+  const char* s = "123456789";
+  EXPECT_EQ(crc32c_reference(reinterpret_cast<const uint8_t*>(s), 9),
+            0xE3069283u);
+  for (size_t off = 0; off < 8; ++off) {
+    for (size_t len = 0; len <= 64; ++len) {
+      const uint8_t* p = buf.data() + off;
+      EXPECT_EQ(crc32c(p, len), crc32c_reference(p, len))
+          << "offset " << off << " length " << len;
+      EXPECT_EQ(crc32c(p, len, 0x1234u), crc32c_reference(p, len, 0x1234u))
+          << "seeded, offset " << off << " length " << len;
+    }
+  }
+}
+
 TEST(Checksum, DetectsBitFlip) {
   std::vector<uint8_t> data(4096, 0xAA);
   uint32_t before = crc32c(data.data(), data.size());

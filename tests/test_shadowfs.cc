@@ -1,12 +1,18 @@
 // Shadow filesystem tests: replay correctness (constrained + autonomous),
 // the never-writes invariant (I1), base/shadow equivalence after replay
-// (I3), cross-check discrepancy detection, crafted-image refusal, and the
-// check-level ablation behaviour.
+// (I3), cross-check discrepancy detection, crafted-image refusal, the
+// check-level ablation behaviour, and the read memo (each block of S0 is
+// read from the device at most once, file contents are never kept).
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+
+#include "blockdev/fault_device.h"
 #include "fsck/crafted.h"
 #include "fsck/fsck.h"
 #include "journal/journal.h"
+#include "shadowfs/shadow_fsck.h"
 #include "shadowfs/shadow_replay.h"
 #include "tests/support/fixtures.h"
 #include "tests/support/fs_compare.h"
@@ -18,6 +24,7 @@ namespace {
 using testing_support::make_test_device;
 using testing_support::make_test_fs;
 using testing_support::pattern_bytes;
+using testing_support::TestFs;
 
 // Build an op log by hand the way the supervisor would.
 struct LogBuilder {
@@ -389,6 +396,275 @@ TEST(ShadowReplay, RenameUnlinkTruncateSequence) {
   auto content = fs.value()->read(st.value().ino, 0, 0, 100);
   ASSERT_TRUE(content.ok());
   EXPECT_EQ(content.value(), pattern_bytes(100, 2));
+}
+
+}  // namespace
+
+// Reaches into ShadowFs (it is a friend) to see the read memo and the
+// block behind a file offset.
+class ShadowFsTestPeer {
+ public:
+  static bool memo_holds(const ShadowFs& fs, BlockNo block) {
+    return fs.memo_.count(block) > 0;
+  }
+  static size_t memo_size(const ShadowFs& fs) { return fs.memo_.size(); }
+  static std::vector<uint8_t> read_block(ShadowFs& fs, BlockNo block) {
+    return fs.read_block(block);
+  }
+  static DiskInode inode(ShadowFs& fs, Ino ino) { return fs.get_inode(ino); }
+  /// The block holding `file_block` of inode `ino` (0 if unmapped).
+  static BlockNo block_of(ShadowFs& fs, Ino ino, uint64_t file_block) {
+    DiskInode inode = fs.get_inode(ino);
+    return fs.map_block(&inode, file_block, /*alloc=*/false).value();
+  }
+};
+
+namespace {
+
+/// Counts device reads per block.
+class ReadCountingDevice final : public BlockDevice {
+ public:
+  explicit ReadCountingDevice(BlockDevice* inner) : inner_(inner) {}
+
+  uint32_t block_size() const override { return inner_->block_size(); }
+  uint64_t block_count() const override { return inner_->block_count(); }
+  Status read_block(BlockNo b, std::span<uint8_t> out) override {
+    ++reads_[b];
+    return inner_->read_block(b, out);
+  }
+  Status write_block(BlockNo b, std::span<const uint8_t> d) override {
+    return inner_->write_block(b, d);
+  }
+  Status flush() override { return inner_->flush(); }
+  const DeviceStats& stats() const override { return inner_->stats(); }
+
+  uint32_t reads_of(BlockNo b) const {
+    auto it = reads_.find(b);
+    return it == reads_.end() ? 0 : it->second;
+  }
+  size_t distinct_blocks_read() const { return reads_.size(); }
+  uint32_t max_reads_of_one_block() const {
+    uint32_t most = 0;
+    for (const auto& [b, n] : reads_) most = std::max(most, n);
+    return most;
+  }
+
+ private:
+  BlockDevice* inner_;
+  std::map<BlockNo, uint32_t> reads_;
+};
+
+/// An image with /d/f0../d/f3 of two blocks each.
+TestFs make_populated_device() {
+  auto t = make_test_fs();
+  if (!t.fs->mkdir("/d", 0755).ok()) std::abort();
+  for (int i = 0; i < 4; ++i) {
+    auto ino = t.fs->create("/d/f" + std::to_string(i), 0644);
+    if (!ino.ok()) std::abort();
+    auto data = pattern_bytes(2 * kBlockSize, static_cast<uint8_t>(i));
+    if (!t.fs->write(ino.value(), 0, 0, data).ok()) std::abort();
+  }
+  if (!t.fs->unmount().ok()) std::abort();
+  t.fs.reset();
+  return t;
+}
+
+TEST(ShadowMemo, RepeatedStatsAndWritesReadEachBlockOnce) {
+  auto t = make_populated_device();
+  ReadCountingDevice counting(t.device.get());
+  ShadowFs shadow(&counting, ShadowCheckLevel::kExtensive);
+  shadow.open();
+  for (int round = 0; round < 5; ++round) {
+    for (int i = 0; i < 4; ++i) {
+      std::string path = "/d/f" + std::to_string(i);
+      auto st = shadow.stat(path);
+      ASSERT_TRUE(st.ok());
+      auto data = pattern_bytes(100, static_cast<uint8_t>(round));
+      ASSERT_TRUE(
+          shadow.write(st.value().ino, 0, 37 * round, data, round).ok());
+      ASSERT_TRUE(shadow.create(path + "." + std::to_string(round), 0644,
+                                round)
+                      .ok());
+    }
+  }
+  EXPECT_EQ(counting.max_reads_of_one_block(), 1u);
+  EXPECT_EQ(shadow.device_reads(), counting.distinct_blocks_read());
+  EXPECT_FALSE(shadow.seal().empty());
+}
+
+TEST(ShadowMemo, WholeBlockWriteReadsNoDataBlock) {
+  auto t = make_populated_device();
+  ReadCountingDevice counting(t.device.get());
+  ShadowFs shadow(&counting, ShadowCheckLevel::kExtensive);
+  shadow.open();
+  Ino ino = shadow.lookup("/d/f1").value();
+  BlockNo first = ShadowFsTestPeer::block_of(shadow, ino, 0);
+  BlockNo second = ShadowFsTestPeer::block_of(shadow, ino, 1);
+  ASSERT_NE(first, 0u);
+  ASSERT_NE(second, 0u);
+
+  // Two whole blocks over existing data, and a third that is allocated.
+  auto data = pattern_bytes(3 * kBlockSize, 99);
+  auto written = shadow.write(ino, 0, 0, data, 1);
+  ASSERT_TRUE(written.ok());
+  EXPECT_EQ(written.value(), data.size());
+  EXPECT_EQ(counting.reads_of(first), 0u);
+  EXPECT_EQ(counting.reads_of(second), 0u);
+  BlockNo third = ShadowFsTestPeer::block_of(shadow, ino, 2);
+  EXPECT_EQ(counting.reads_of(third), 0u);
+  EXPECT_EQ(shadow.read(ino, 0, 0, data.size()).value(), data);
+}
+
+TEST(ShadowMemo, PartialWriteReadsOneBlockAndKeepsItsNeighbours) {
+  auto t = make_populated_device();
+  ReadCountingDevice counting(t.device.get());
+  ShadowFs shadow(&counting, ShadowCheckLevel::kExtensive);
+  shadow.open();
+  Ino ino = shadow.lookup("/d/f2").value();
+  ASSERT_TRUE(shadow.stat_ino(ino).ok());  // the inode's blocks are read
+
+  const uint64_t before = shadow.device_reads();
+  auto patch = pattern_bytes(100, 200);
+  ASSERT_TRUE(shadow.write(ino, 0, kBlockSize + 50, patch, 1).ok());
+  EXPECT_EQ(shadow.device_reads() - before, 1u);
+  BlockNo patched = ShadowFsTestPeer::block_of(shadow, ino, 1);
+  EXPECT_EQ(counting.reads_of(patched), 1u);
+  EXPECT_FALSE(ShadowFsTestPeer::memo_holds(shadow, patched));
+
+  auto expect = pattern_bytes(2 * kBlockSize, 2);
+  std::copy(patch.begin(), patch.end(), expect.begin() + kBlockSize + 50);
+  EXPECT_EQ(shadow.read(ino, 0, 0, expect.size()).value(), expect);
+}
+
+TEST(ShadowMemo, FreedBlockRereadsTheDeviceBytes) {
+  auto t = make_populated_device();
+  ShadowFs shadow(t.device.get(), ShadowCheckLevel::kExtensive);
+  shadow.open();
+  Ino dir = shadow.lookup("/d").value();
+  Ino file = shadow.lookup("/d/f3").value();
+  BlockNo dir_block = ShadowFsTestPeer::block_of(shadow, dir, 0);
+  BlockNo data_block = ShadowFsTestPeer::block_of(shadow, file, 0);
+  std::vector<uint8_t> dir_on_device(kBlockSize);
+  std::vector<uint8_t> data_on_device(kBlockSize);
+  ASSERT_TRUE(t.device->read_block(dir_block, dir_on_device).ok());
+  ASSERT_TRUE(t.device->read_block(data_block, data_on_device).ok());
+
+  // Overwrite both in the overlay, then free both: the directory block
+  // was kept by the memo, the file block was not.
+  ASSERT_TRUE(
+      shadow.write(file, 0, 0, pattern_bytes(kBlockSize, 50), 1).ok());
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(shadow.unlink("/d/f" + std::to_string(i), 2).ok());
+  }
+  ASSERT_TRUE(ShadowFsTestPeer::memo_holds(shadow, dir_block));
+  ASSERT_TRUE(shadow.rmdir("/d", 3).ok());
+
+  EXPECT_EQ(ShadowFsTestPeer::read_block(shadow, dir_block), dir_on_device);
+  EXPECT_EQ(ShadowFsTestPeer::read_block(shadow, data_block), data_on_device);
+}
+
+TEST(ShadowMemo, OneShotReadErrorRefusesAndTheRetrySealsTheSameOutput) {
+  auto t = make_populated_device();
+  Ino f0 = 0;
+  {
+    ShadowFs probe(t.device.get(), ShadowCheckLevel::kExtensive);
+    probe.open();
+    f0 = probe.lookup("/d/f0").value();
+  }
+  LogBuilder log;
+  log.push(req_mkdir("/e"), OpOutcome{Errno::kOk, 100, 0, {}});
+  log.push(req_create("/e/g"), OpOutcome{Errno::kOk, 101, 0, {}});
+  log.push(req_write(101, 0, pattern_bytes(9000, 3)),
+           OpOutcome{Errno::kOk, kInvalidIno, 9000, {}});
+  log.push(req_write(f0, 100, pattern_bytes(300, 4)),
+           OpOutcome{Errno::kOk, kInvalidIno, 300, {}});
+  auto clean = shadow_execute(t.device.get(), log.records, {});
+  ASSERT_TRUE(clean.ok) << clean.failure;
+
+  FaultBlockDevice faulty(t.device.get());
+  for (uint64_t at : {uint64_t{1}, clean.device_reads / 2,
+                      clean.device_reads - 1}) {
+    faulty.arm_read_error_at(faulty.reads_seen() + at);
+    auto refused = shadow_execute(&faulty, log.records, {});
+    EXPECT_FALSE(refused.ok) << "read " << at;
+    EXPECT_NE(refused.failure.find("device read failed"), std::string::npos)
+        << refused.failure;
+
+    auto retried = shadow_execute(&faulty, log.records, {});
+    ASSERT_TRUE(retried.ok) << retried.failure;
+    ASSERT_EQ(retried.dirty.size(), clean.dirty.size());
+    for (size_t i = 0; i < clean.dirty.size(); ++i) {
+      EXPECT_EQ(retried.dirty[i].block, clean.dirty[i].block);
+      EXPECT_EQ(retried.dirty[i].cls, clean.dirty[i].cls);
+      EXPECT_EQ(retried.dirty[i].data, clean.dirty[i].data);
+    }
+  }
+
+  // Within one shadow, the failed read leaves no memo entry: the next
+  // read of the block goes to the device again and returns its bytes.
+  ShadowFs shadow(&faulty, ShadowCheckLevel::kExtensive);
+  shadow.open();
+  BlockNo table = shadow.geometry().inode_table_start + 1;
+  faulty.arm_read_error_at(faulty.reads_seen());
+  EXPECT_THROW(ShadowFsTestPeer::read_block(shadow, table), ShadowCheckError);
+  EXPECT_FALSE(ShadowFsTestPeer::memo_holds(shadow, table));
+  std::vector<uint8_t> on_device(kBlockSize);
+  ASSERT_TRUE(t.device->read_block(table, on_device).ok());
+  EXPECT_EQ(ShadowFsTestPeer::read_block(shadow, table), on_device);
+  EXPECT_TRUE(ShadowFsTestPeer::memo_holds(shadow, table));
+}
+
+TEST(ShadowMemo, FsckWalkKeepsNoFileContent) {
+  auto t = make_test_fs();
+  ASSERT_TRUE(t.fs->mkdir("/a", 0755).ok());
+  ASSERT_TRUE(t.fs->mkdir("/a/b", 0755).ok());
+  std::vector<Ino> files;
+  for (int i = 0; i < 3; ++i) {
+    // 60000 bytes is 15 blocks: direct pointers plus an indirect block.
+    auto ino = t.fs->create("/a/b/file" + std::to_string(i), 0644);
+    ASSERT_TRUE(ino.ok());
+    ASSERT_TRUE(
+        t.fs->write(ino.value(), 0, 0, pattern_bytes(60000, i)).ok());
+    files.push_back(ino.value());
+  }
+  ASSERT_TRUE(t.fs->symlink("/a/ln", "/a/b/file0").ok());
+  ASSERT_TRUE(t.fs->unmount().ok());
+  ASSERT_TRUE(shadow_fsck(t.device.get()).ok);
+
+  // The reads shadow_fsck makes: the extensive open, then every file's
+  // and symlink's contents.
+  ShadowFs shadow(t.device.get(), ShadowCheckLevel::kExtensive);
+  shadow.open();
+  shadow.walk_tree([&](const std::string& path, const DirEntry& entry,
+                       const DiskInode& inode) {
+    if (entry.type == FileType::kRegular) {
+      ASSERT_TRUE(shadow.read(entry.ino, 0, 0, inode.size).ok());
+    } else if (entry.type == FileType::kSymlink) {
+      ASSERT_TRUE(shadow.readlink(path).ok());
+    }
+  });
+
+  Ino link = shadow.lookup("/a/ln").value();
+  EXPECT_FALSE(ShadowFsTestPeer::memo_holds(
+      shadow, ShadowFsTestPeer::block_of(shadow, link, 0)));
+  std::set<BlockNo> content;
+  for (Ino ino : files) {
+    for (uint64_t fb = 0; fb < 15; ++fb) {
+      BlockNo b = ShadowFsTestPeer::block_of(shadow, ino, fb);
+      ASSERT_NE(b, 0u);
+      content.insert(b);
+      EXPECT_FALSE(ShadowFsTestPeer::memo_holds(shadow, b)) << "block " << b;
+    }
+  }
+  // What it keeps is metadata: the indirect blocks and the inode table.
+  for (Ino ino : files) {
+    BlockNo indirect = ShadowFsTestPeer::inode(shadow, ino).indirect;
+    ASSERT_NE(indirect, 0u);
+    EXPECT_TRUE(ShadowFsTestPeer::memo_holds(shadow, indirect));
+  }
+  EXPECT_TRUE(ShadowFsTestPeer::memo_holds(
+      shadow, shadow.geometry().inode_table_start));
+  EXPECT_LT(ShadowFsTestPeer::memo_size(shadow), content.size());
 }
 
 }  // namespace
